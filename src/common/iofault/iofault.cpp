@@ -161,8 +161,10 @@ std::optional<FaultSchedule> FaultSchedule::parse(const std::string& spec,
   FaultSchedule schedule;
   schedule.spec_ = spec;
   {
+    // Named: `end` points into this string, so it must outlive the check.
+    const std::string seed_text = spec.substr(0, colon);
     char* end = nullptr;
-    schedule.seed_ = std::strtoull(spec.substr(0, colon).c_str(), &end, 10);
+    schedule.seed_ = std::strtoull(seed_text.c_str(), &end, 10);
     if (end == nullptr || *end != '\0') return fail("seed is not an integer");
   }
 

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -86,8 +85,8 @@ std::optional<EvalResult> destruction_short_circuit(
 telemetry::Histogram& phase_metric(const char* phase) {
   return telemetry::histogram(
       "winofault_campaign_phase_us",
-      "microseconds per campaign phase unit (wave golden build, per-cell "
-      "replay or scratch inject)",
+      "microseconds per campaign phase unit (golden build, per-cell replay "
+      "or scratch inject)",
       std::string("phase=\"") + phase + "\"");
 }
 telemetry::Histogram& phase_replay_metric() {
@@ -96,6 +95,10 @@ telemetry::Histogram& phase_replay_metric() {
 }
 telemetry::Histogram& phase_inject_metric() {
   static telemetry::Histogram& h = phase_metric("inject");
+  return h;
+}
+telemetry::Histogram& phase_golden_build_metric() {
+  static telemetry::Histogram& h = phase_metric("golden_build");
   return h;
 }
 telemetry::Counter& waves_metric() {
@@ -312,25 +315,33 @@ std::vector<std::size_t> resolve_active_points(const Network& network,
   return active;
 }
 
+// Distinct policies among the active points that reuse goldens (at least
+// 1): each live image holds one golden per such policy.
+std::int64_t golden_policy_count(const std::vector<CampaignPoint>& points,
+                                 const std::vector<std::size_t>& active) {
+  std::int64_t npol = 0;
+  bool seen[3] = {false, false, false};
+  for (const std::size_t p : active) {
+    const int policy = static_cast<int>(points[p].policy);
+    if (points[p].reuse_golden && !seen[policy]) {
+      seen[policy] = true;
+      ++npol;
+    }
+  }
+  return std::max<std::int64_t>(npol, 1);
+}
+
 // Default GoldenLru capacity — ONE formula for both execution paths: the
 // wave working set (one entry per live (image, policy)) plus slack for
 // shards straddling a wave boundary.
 std::size_t default_golden_capacity(const std::vector<CampaignPoint>& points,
                                     const std::vector<std::size_t>& active,
                                     std::int64_t images, int threads) {
-  std::int64_t npol = 0;
-  bool seen[3] = {false, false, false};
-  for (const std::size_t p : active) {
-    if (points[p].reuse_golden && !seen[static_cast<int>(points[p].policy)]) {
-      seen[static_cast<int>(points[p].policy)] = true;
-      ++npol;
-    }
-  }
   const std::int64_t wave_width =
       std::min<std::int64_t>(images, std::max(threads, 1));
   return std::max<std::size_t>(
-      static_cast<std::size_t>(wave_width * std::max<std::int64_t>(npol, 1) +
-                               threads),
+      static_cast<std::size_t>(
+          wave_width * golden_policy_count(points, active) + threads),
       2);
 }
 
@@ -425,7 +436,9 @@ GoldenLru::Ptr GoldenLru::get_or_build(
       golden_metric("builds_total", "golden activation builds", variant)
           .add(1);
       telemetry::TraceSpan span("golden_build", "campaign");
+      const std::int64_t t0 = telemetry::now_us();
       ptr = std::make_shared<const GoldenCache>(build());
+      phase_golden_build_metric().observe(telemetry::now_us() - t0);
     }
   } catch (...) {
     // Propagate the real error to concurrent waiters and drop the entry so
@@ -458,131 +471,6 @@ GoldenLru::Ptr GoldenLru::get_or_build(
     if (!still_cached) store->save(image, policy, *ptr, variant);
   }
   return ptr;
-}
-
-void GoldenLru::prime(std::span<const std::int64_t> images, ConvPolicy policy,
-                      const std::function<std::vector<GoldenCache>(
-                          std::span<const std::int64_t>)>& build_batch) {
-  GoldenStore* const store = store_.load();
-  // Claim every absent key under ONE lock acquisition, running the same
-  // eviction-spill dance as get_or_build. Keys already present (ready or in
-  // flight) belong to their builder and are skipped without an LRU bump —
-  // the wave's execute_cell lookups will bump them.
-  struct Claim {
-    std::int64_t image;
-    Key key;
-    std::uint64_t owner;
-    std::promise<Ptr> promise;
-  };
-  std::vector<Claim> claims;
-  std::vector<std::pair<Key, Ptr>> spill;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::int64_t image : images) {
-      // Wave priming serves the clean-silicon tier only; variant goldens
-      // (permanent-fault points) build on demand through get_or_build.
-      const Key key{pack_golden_key(image, policy), 0};
-      if (map_.find(key) != map_.end()) continue;
-      Claim claim;
-      claim.image = image;
-      claim.key = key;
-      claim.owner = ++next_owner_;
-      std::shared_future<Ptr> future = claim.promise.get_future().share();
-      lru_.push_front(key);
-      map_.emplace(key, Entry{future, lru_.begin(), claim.owner});
-      claims.push_back(std::move(claim));
-      while (map_.size() > capacity_) {
-        const Key victim = lru_.back();
-        const auto vit = map_.find(victim);
-        if (store != nullptr &&
-            vit->second.future.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready) {
-          try {
-            if (Ptr ready = vit->second.future.get()) {
-              spill.emplace_back(victim, std::move(ready));
-            }
-          } catch (...) {
-            // failed build: nothing to spill
-          }
-        }
-        map_.erase(vit);
-        lru_.pop_back();
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        golden_metric("evictions_total", "GoldenLru capacity evictions",
-                      victim.variant)
-            .add(1);
-      }
-    }
-  }
-  for (auto& [victim, ready] : spill) {
-    store->save(golden_key_image(victim.base), golden_key_policy(victim.base),
-                *ready, victim.variant);
-  }
-  if (claims.empty()) return;
-  // Resolves one claim: publish to waiters, then — exactly as in
-  // get_or_build — spill to the store if the entry was evicted while
-  // unready (the evictor could not).
-  const auto finish = [&](Claim& claim, Ptr ptr) {
-    claim.promise.set_value(ptr);
-    if (store != nullptr) {
-      bool still_cached;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const auto it = map_.find(claim.key);
-        still_cached = it != map_.end() && it->second.owner == claim.owner;
-      }
-      if (!still_cached) store->save(claim.image, policy, *ptr);
-    }
-  };
-  std::vector<bool> resolved(claims.size(), false);
-  try {
-    // Tier-2 restores first; only true misses reach the batched build.
-    std::vector<std::int64_t> miss_images;
-    std::vector<std::size_t> miss_idx;
-    for (std::size_t k = 0; k < claims.size(); ++k) {
-      if (store != nullptr) {
-        if (std::optional<GoldenCache> restored =
-                store->load(claims[k].image, policy)) {
-          finish(claims[k],
-                 std::make_shared<const GoldenCache>(std::move(*restored)));
-          resolved[k] = true;
-          continue;
-        }
-      }
-      miss_images.push_back(claims[k].image);
-      miss_idx.push_back(k);
-    }
-    if (!miss_images.empty()) {
-      builds_.fetch_add(static_cast<std::int64_t>(miss_images.size()),
-                        std::memory_order_relaxed);
-      golden_metric("builds_total", "golden activation builds", 0)
-          .add(static_cast<std::int64_t>(miss_images.size()));
-      telemetry::TraceSpan span("golden_build_batch", "campaign");
-      std::vector<GoldenCache> built = build_batch(miss_images);
-      WF_CHECK(built.size() == miss_images.size());
-      for (std::size_t j = 0; j < miss_idx.size(); ++j) {
-        finish(claims[miss_idx[j]],
-               std::make_shared<const GoldenCache>(std::move(built[j])));
-        resolved[miss_idx[j]] = true;
-      }
-    }
-  } catch (...) {
-    // Propagate the real error to concurrent waiters of every unresolved
-    // claim and drop those entries so later lookups retry (owner check as
-    // in get_or_build).
-    const std::exception_ptr error = std::current_exception();
-    for (std::size_t k = 0; k < claims.size(); ++k) {
-      if (resolved[k]) continue;
-      claims[k].promise.set_exception(error);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (const auto it = map_.find(claims[k].key);
-          it != map_.end() && it->second.owner == claims[k].owner) {
-        lru_.erase(it->second.lru_it);
-        map_.erase(it);
-      }
-    }
-    throw;
-  }
 }
 
 std::int64_t GoldenLru::flush_to_store() {
@@ -718,18 +606,10 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     // so it must retain this campaign's full golden set — the wave-sized
     // `capacity` above only covers one pass and would evict everything a
     // resident daemon keeps warm (images stream through it).
-    std::int64_t npol = 0;
-    bool seen[3] = {false, false, false};
-    for (const std::size_t p : active) {
-      const int policy = static_cast<int>(spec.points[p].policy);
-      if (spec.points[p].reuse_golden && !seen[policy]) {
-        seen[policy] = true;
-        ++npol;
-      }
-    }
     lru.ensure_capacity(std::max(
-        capacity, static_cast<std::size_t>(
-                      images * std::max<std::int64_t>(npol, 1) + threads)));
+        capacity,
+        static_cast<std::size_t>(
+            images * golden_policy_count(spec.points, active) + threads)));
   }
   const std::int64_t lru_builds_base = lru.builds();
   const std::int64_t lru_hits_base = lru.hits();
@@ -759,8 +639,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   std::vector<Unit> units;
   // End offset of each wave's unit slice: wave k owns
   // units[wave_bounds[k-1], wave_bounds[k]). Slices are contiguous by
-  // construction (units append wave by wave) and drive the per-wave
-  // batched golden priming below.
+  // construction (units append wave by wave).
   std::vector<std::size_t> wave_bounds;
   units.reserve(static_cast<std::size_t>(images) * active.size());
   for (std::int64_t wave = 0; wave < images; wave += wave_width) {
@@ -821,14 +700,11 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   };
   emit_progress();  // totals up front, even for fully journal-served runs
 
-  // Wave-sliced execution. Before a wave's cells run, every (image, policy)
-  // golden the wave will reuse is primed through ONE batched golden build
-  // per policy (Network::make_golden_batch — bit-identical to per-image
-  // builds), so conv layers amortize their im2col/GEMM launch cost across
-  // the whole image wave instead of paying it once per image. Keys another
-  // thread already holds (warm daemon tier) and tier-2 restores are honored
-  // by prime; execute_cell's get_or_build then hits ready futures. A wave
-  // truncated by the cell budget primes only the cells it actually kept.
+  // Wave-sliced execution: one parallel_for per wave. The pool starts each
+  // worker on its own contiguous range of units, so one loop over all
+  // units would put workers on images far apart and the live goldens would
+  // outgrow `capacity`; the per-wave barrier keeps them to one wave's
+  // images. Goldens build on demand inside execute_cell.
   std::size_t wave_begin = 0;
   telemetry::TraceSpan run_span("campaign_run", "campaign");
   for (const std::size_t bound : wave_bounds) {
@@ -836,40 +712,6 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     if (wave_begin >= wave_end) continue;
     waves_metric().add(1);
     telemetry::TraceSpan wave_span("campaign_wave", "campaign");
-    const bool cancel_now = spec.cancel != nullptr &&
-                            spec.cancel->load(std::memory_order_relaxed);
-    if (!cancel_now) {
-      telemetry::TraceSpan prime_span("wave_golden_prime", "campaign");
-      const std::int64_t prime_t0 = telemetry::now_us();
-      // Distinct wave images per policy; 3 mirrors `seen[3]` above (the
-      // ConvPolicy value count).
-      std::array<std::vector<std::int64_t>, 3> wave_images;
-      for (std::size_t u = wave_begin; u < wave_end; ++u) {
-        const std::size_t p = active[units[u].a];
-        const CampaignPoint& point = spec.points[p];
-        // Overlay points use variant goldens, which prime cannot serve —
-        // they build on demand inside execute_cell.
-        if (!point.reuse_golden || overlays[p] != nullptr) continue;
-        wave_images[static_cast<int>(point.policy)].push_back(units[u].image);
-      }
-      for (int pol = 0; pol < 3; ++pol) {
-        std::vector<std::int64_t>& imgs = wave_images[pol];
-        if (imgs.empty()) continue;
-        std::sort(imgs.begin(), imgs.end());
-        imgs.erase(std::unique(imgs.begin(), imgs.end()), imgs.end());
-        const ConvPolicy policy = static_cast<ConvPolicy>(pol);
-        lru.prime(imgs, policy, [&](std::span<const std::int64_t> miss) {
-          std::vector<TensorF> batch;
-          batch.reserve(miss.size());
-          for (const std::int64_t m : miss) {
-            batch.push_back(dataset_.images[static_cast<std::size_t>(m)]);
-          }
-          return network_.make_golden_batch(batch, policy);
-        });
-      }
-      phase_metric("golden_build").observe(telemetry::now_us() - prime_t0);
-    }
-    telemetry::TraceSpan exec_span("wave_exec", "campaign");
     parallel_for(static_cast<std::int64_t>(wave_end - wave_begin), threads,
                  [&, wave_begin](std::int64_t w) {
       const std::size_t u = wave_begin + static_cast<std::size_t>(w);

@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -179,18 +178,6 @@ class GoldenLru {
   Ptr get_or_build(std::int64_t image, ConvPolicy policy,
                    const std::function<GoldenCache()>& build,
                    std::uint64_t variant = 0);
-
-  // Wave prebuild: claims every (image, policy) pair not already cached or
-  // in flight, restores what the tier-2 store holds, and computes the
-  // remaining misses through ONE `build_batch(missing)` call (the batched
-  // golden path, Network::make_golden_batch). build_batch must return one
-  // cache per requested image, in order, each bit-identical to a batch-1
-  // build — concurrent get_or_build callers wait on the same futures and
-  // cannot observe the difference. Thread-safe; a pair another thread is
-  // already building is left to that builder.
-  void prime(std::span<const std::int64_t> images, ConvPolicy policy,
-             const std::function<std::vector<GoldenCache>(
-                 std::span<const std::int64_t>)>& build_batch);
 
   // Spill-on-shutdown: writes every still-resident *ready* entry to the
   // attached tier-2 store (no-op without one; existing shards are cheap

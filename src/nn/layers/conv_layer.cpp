@@ -52,7 +52,6 @@ Shape ConvLayer::infer_shape(std::span<const Shape> in) const {
 }
 
 const std::vector<std::int64_t>* ConvLayer::wg_bank(int m) const {
-  if (seed_equivalent_kernels()) return nullptr;
   if (!(desc_.kh == 3 && desc_.kw == 3 && desc_.stride == 1)) return nullptr;
   const int slot = m == 2 ? 0 : 1;
   std::call_once(wg_once_[slot], [&] {
@@ -130,8 +129,7 @@ TensorI32 ConvLayer::forward(std::span<const NodeOutput* const> ins,
     // project's core invariant), so the base forward always takes the
     // fastest path; session->apply re-derives any faulted outputs in the
     // policy engine's own domain on top.
-    out = seed_equivalent_kernels() ? engine.forward(desc_, data)
-                                    : direct_forward_gemm(desc_, data);
+    out = direct_forward_gemm(desc_, data);
   }
   if (ctx.overlay != nullptr && prot_index >= 0 &&
       !ctx.overlay->accum_bits.empty()) {
@@ -163,36 +161,6 @@ TensorI32 ConvLayer::forward_weight_faulted(
   TensorI32 corrupted = corrupt_weights(kind, faults);
   data.weights = &corrupted;
   return direct_forward_gemm(desc_, data);
-}
-
-std::vector<TensorI32> ConvLayer::forward_batch(
-    std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
-    ConvPolicy policy) const {
-  WF_CHECK(!ins.empty());
-  if (seed_equivalent_kernels() || ins.size() == 1) {
-    std::vector<TensorI32> outs;
-    outs.reserve(ins.size());
-    ExecContext ctx;
-    ctx.policy = policy;
-    for (const NodeOutput* in : ins) {
-      outs.push_back(forward({&in, 1}, out_quant, ctx, -1));
-    }
-    return outs;
-  }
-  std::vector<const TensorI32*> inputs;
-  inputs.reserve(ins.size());
-  for (const NodeOutput* in : ins) {
-    // One acc_scale serves the whole batch: per-node quant is static.
-    WF_CHECK(in->quant.scale == ins[0]->quant.scale);
-    inputs.push_back(&in->tensor);
-  }
-  std::vector<std::int64_t> bias_acc;
-  ConvData data = make_data(*ins[0], out_quant, bias_acc);
-  data.batch_inputs = inputs;
-  // Golden builds are fault-free, so the fastest path serves every policy
-  // (fault-free outputs are bit-identical across engines — the project's
-  // core invariant; `policy` only matters for the seed-mode fallback).
-  return direct_forward_gemm_batch(desc_, data);
 }
 
 void ConvLayer::attach_wg_bank(ConvData& data,

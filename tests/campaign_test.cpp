@@ -145,10 +145,10 @@ TEST(Campaign, GoldenBuildsSharedPerImagePolicy) {
   // 7 reuse_golden points over 2 policies: one build per (image, policy).
   EXPECT_EQ(campaign.stats.golden_builds,
             static_cast<std::int64_t>(f.data.size()) * 2);
-  // Wave priming batch-builds every (image, policy) golden before its
-  // wave's cells run, so ALL (image, reuse-point) lookups are hits.
+  // Every other (image, reuse-point) lookup is a hit.
   EXPECT_EQ(campaign.stats.golden_hits,
-            static_cast<std::int64_t>(f.data.size()) * 7);
+            static_cast<std::int64_t>(f.data.size()) * 7 -
+                campaign.stats.golden_builds);
   EXPECT_EQ(campaign.stats.golden_evictions, 0);
   EXPECT_EQ(campaign.stats.short_circuited_points, 0);
 }
@@ -182,6 +182,33 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(serial.points[p].avg_flips,
                      parallel.points[p].avg_flips);
   }
+}
+
+// Every golden build is timed into the golden_build phase histogram,
+// whichever path asks for it: clean goldens and the permanent-fault
+// variant goldens both build on demand through GoldenLru::get_or_build.
+TEST(Campaign, GoldenBuildPhaseCountsEveryBuild) {
+  const Fixture f = make_fixture(6);
+  CampaignSpec spec;
+  CampaignPoint clean;
+  clean.fault.ber = 1e-7;
+  clean.seed = 7;
+  spec.points.push_back(clean);
+  CampaignPoint perm = clean;
+  perm.fault.model = *FaultModelSpec::parse("stuck0@weight#perm");
+  perm.fault.ber = 1e-3;
+  spec.points.push_back(perm);
+  telemetry::Histogram& phase = telemetry::histogram(
+      "winofault_campaign_phase_us",
+      "microseconds per campaign phase unit (golden build, per-cell replay "
+      "or scratch inject)",
+      "phase=\"golden_build\"");
+  const std::int64_t before = phase.count();
+  const CampaignResult result = run_campaign(f.net, f.data, spec);
+  // One clean and one variant golden per image.
+  EXPECT_EQ(result.stats.golden_builds,
+            static_cast<std::int64_t>(f.data.size()) * 2);
+  EXPECT_EQ(phase.count() - before, result.stats.golden_builds);
 }
 
 // ---- (b') build-future dedup survives eviction mid-build ----
