@@ -10,7 +10,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/env.h"
 #include "common/logging.h"
@@ -67,20 +70,26 @@ bool fault_applies(Fault fault, OpClass op) {
   return false;
 }
 
-// Process-wide schedule pointer. Leaked on replacement: a raw atomic keeps
-// the chaos-off fast path to one relaxed load, and schedules are installed
-// at most a handful of times per process (env init + test seams).
+// Process-wide schedule pointer. A raw atomic keeps the chaos-off fast
+// path to one relaxed load; schedules are installed at most a handful of
+// times per process (env init + test seams).
 std::atomic<FaultSchedule*> g_schedule{nullptr};
 std::once_flag g_env_once;
 
 void install_schedule(std::optional<FaultSchedule> schedule) {
-  FaultSchedule* next = nullptr;
+  // Replaced schedules are retired, never freed: another thread may be
+  // mid-decide on one. The list keeps them reachable (no leak report) and
+  // is itself never destroyed, so exit-time decides stay valid too.
+  static std::mutex retired_mu;
+  static auto* retired = new std::vector<std::unique_ptr<FaultSchedule>>;
+  std::unique_ptr<FaultSchedule> next;
   if (schedule.has_value()) {
-    next = new FaultSchedule(std::move(*schedule));
+    next = std::make_unique<FaultSchedule>(std::move(*schedule));
   }
-  // The old schedule leaks: another thread may be mid-decide on it, and
-  // test seams swap a handful of times per process at most.
-  g_schedule.store(next, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(retired_mu);
+  FaultSchedule* const old =
+      g_schedule.exchange(next.release(), std::memory_order_acq_rel);
+  if (old != nullptr) retired->emplace_back(old);
 }
 
 // Runs as the g_env_once body, so it must install directly — calling

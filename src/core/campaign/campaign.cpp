@@ -151,18 +151,18 @@ constexpr ConvPolicy golden_key_policy(std::uint64_t key) {
 }
 
 // Integer tallies of one (point, image) cell over the point's trials —
-// the unit both execution paths schedule and journal. A non-null `overlay`
+// the unit the executor schedules and journals. A non-null `overlay`
 // (permanent-fault model, pure function of the point) keys the golden into
 // its faulted-weights variant and counts its defective cells as the
-// trial's flips; transient models leave it null. A non-null `cost`
-// receives the cell's measured cost record (trial-loop wall-micros +
-// exact sum of squared per-trial flips) for the journal's cost ledger;
-// the measurement is observation-only — the tallies never depend on it.
+// trial's flips; transient models leave it null. `cost` receives the
+// cell's measured cost record (trial-loop wall-micros + exact sum of
+// squared per-trial flips) for the journal's cost ledger; the
+// measurement is observation-only — the tallies never depend on it.
 JournalCell execute_cell(const Network& network, const Dataset& dataset,
                          const CampaignPoint& point,
                          std::uint64_t point_hash, std::int64_t i,
                          GoldenLru& lru, const FaultOverlay* overlay,
-                         JournalCost* cost = nullptr) {
+                         JournalCost& cost) {
   const TensorF& image = dataset.images[static_cast<std::size_t>(i)];
   const int label = dataset.labels[static_cast<std::size_t>(i)];
   // Every (point, image, trial) derives its own fault stream, so the
@@ -208,12 +208,10 @@ JournalCell execute_cell(const Network& network, const Dataset& dataset,
     elapsed_us = telemetry::now_us() - t0;
     phase_inject_metric().observe(elapsed_us);
   }
-  if (cost != nullptr) {
-    cost->point_hash = point_hash;
-    cost->image = i;
-    cost->wall_us = elapsed_us;
-    cost->flips_sq = flips_sq;
-  }
+  cost.point_hash = point_hash;
+  cost.image = i;
+  cost.wall_us = elapsed_us;
+  cost.flips_sq = flips_sq;
   cells_metric().add(1);
   trials_metric().add(point.trials);
   return cell;
@@ -294,27 +292,6 @@ std::string default_worker_tag() {
   return tag;
 }
 
-// Short-circuit resolution shared by both execution paths: resolves
-// destruction points into `result` directly and returns the indices of
-// the points that actually schedule.
-std::vector<std::size_t> resolve_active_points(const Network& network,
-                                               const Dataset& dataset,
-                                               const CampaignSpec& spec,
-                                               CampaignResult* result) {
-  std::vector<std::size_t> active;
-  active.reserve(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    if (const auto sc =
-            destruction_short_circuit(network, dataset, spec.points[p])) {
-      result->points[p] = *sc;
-      ++result->stats.short_circuited_points;
-    } else {
-      active.push_back(p);
-    }
-  }
-  return active;
-}
-
 // Distinct policies among the active points that reuse goldens (at least
 // 1): each live image holds one golden per such policy.
 std::int64_t golden_policy_count(const std::vector<CampaignPoint>& points,
@@ -329,20 +306,6 @@ std::int64_t golden_policy_count(const std::vector<CampaignPoint>& points,
     }
   }
   return std::max<std::int64_t>(npol, 1);
-}
-
-// Default GoldenLru capacity — ONE formula for both execution paths: the
-// wave working set (one entry per live (image, policy)) plus slack for
-// shards straddling a wave boundary.
-std::size_t default_golden_capacity(const std::vector<CampaignPoint>& points,
-                                    const std::vector<std::size_t>& active,
-                                    std::int64_t images, int threads) {
-  const std::int64_t wave_width =
-      std::min<std::int64_t>(images, std::max(threads, 1));
-  return std::max<std::size_t>(
-      static_cast<std::size_t>(
-          wave_width * golden_policy_count(points, active) + threads),
-      2);
 }
 
 }  // namespace
@@ -508,6 +471,15 @@ std::uint64_t CampaignRunner::env_hash() const {
   return h;
 }
 
+// The one campaign executor. A local run and a distributed shard (core/dist:
+// worker dist.shard_index of dist.shard_count sharing spec.store.dir) share
+// the prepare step, the slice executor and the finalize step; only the
+// schedule differs. A local run executes image waves of the pending list;
+// a shard claims cost-weighted buckets of it through the claim board, then
+// assembles the full result from the canonical journal plus every
+// worker's segment. Tallies are integer sums of cells that are pure
+// functions of their key, so every schedule gives bit-identical results
+// (tests/campaign_test.cpp, store_test.cpp, dist_test.cpp).
 CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   WF_CHECK(network_.calibrated());
   WF_CHECK(!dataset_.images.empty());
@@ -523,14 +495,27 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     }
   }
 
-  if (spec.store.enabled() && spec.store.dist.enabled()) {
-    if (spec.store.journal) return run_distributed(spec);
+  const DistOptions& dist = spec.store.dist;
+  bool distributed = spec.store.enabled() && dist.enabled();
+  if (distributed && !spec.store.journal) {
     WF_WARN << "campaign: distributed execution requires the result "
                "journal; falling back to a local run";
+    distributed = false;
   }
+  if (distributed) {
+    WF_CHECK(dist.shard_index >= 0 && dist.shard_index < dist.shard_count);
+  }
+  telemetry::TraceSpan run_span(
+      distributed ? "campaign_run_distributed" : "campaign_run",
+      distributed ? "dist" : "campaign");
 
+  // Workers of a local coordinator run side by side on one machine and
+  // split it evenly; a hand-started shard on its own host uses all of it.
   const int threads =
-      spec.threads > 0 ? spec.threads : default_thread_count();
+      spec.threads > 0 ? spec.threads
+      : distributed && dist.share_host
+          ? std::max(1, default_thread_count() / dist.shard_count)
+          : default_thread_count();
   const std::int64_t images =
       static_cast<std::int64_t>(dataset_.images.size());
 
@@ -540,23 +525,29 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   // Persistent store (core/store): both tiers are keyed by content hashes
   // of the (network, dataset) environment and of each point, so recovered
   // journal cells and restored goldens can never come from different
-  // state than this campaign would compute.
-  std::shared_ptr<ResultJournal> journal;
+  // state than this campaign would compute. A shard opens the canonical
+  // journal read-only — only the coordinator's merge writes it — so every
+  // worker derives the identical pending set without communicating.
+  std::uint64_t env = 0;
+  std::shared_ptr<ResultJournal> journal;  // the canonical journal
   std::shared_ptr<GoldenStore> golden_store;
   std::vector<std::uint64_t> point_hashes;
   if (spec.store.enabled()) {
-    const std::uint64_t env = env_hash();
+    env = env_hash();
     point_hashes.resize(spec.points.size());
     for (std::size_t p = 0; p < spec.points.size(); ++p) {
       point_hashes[p] = campaign_point_hash(spec.points[p]);
     }
+    const ResultJournal::Mode mode = distributed
+                                         ? ResultJournal::Mode::kReadOnly
+                                         : ResultJournal::Mode::kAppend;
     if (spec.store.reuse_handles) {
-      const StoreHandles handles = acquire_store_handles(spec.store, env);
+      const StoreHandles handles = acquire_store_handles(spec.store, env, mode);
       journal = handles.journal;
       golden_store = handles.goldens;
     } else {
       if (spec.store.journal) {
-        journal = std::make_shared<ResultJournal>(spec.store.dir, env);
+        journal = std::make_shared<ResultJournal>(spec.store.dir, env, mode);
       }
       if (spec.store.spill_goldens) {
         golden_store = std::make_shared<GoldenStore>(
@@ -567,32 +558,111 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
 
   // Reused (cached) handles carry activity from earlier campaigns in this
   // process; per-run accounting is relative to these baselines.
-  const std::int64_t journal_base =
-      journal != nullptr ? journal->appended_cells() : 0;
   const std::int64_t spills_base =
       golden_store != nullptr ? golden_store->spills() : 0;
   const std::int64_t restores_base =
       golden_store != nullptr ? golden_store->restores() : 0;
 
   // Resolve destruction short-circuits up front; only surviving points are
-  // scheduled.
-  const std::vector<std::size_t> active =
-      resolve_active_points(network_, dataset_, spec, &result);
+  // scheduled. Overlays are derived, not communicated: every worker
+  // computes the identical per-point defect sets from the spec alone.
+  std::vector<std::size_t> active;
+  for (std::size_t p = 0; p < spec.points.size(); ++p) {
+    if (const auto sc =
+            destruction_short_circuit(network_, dataset_, spec.points[p])) {
+      result.points[p] = *sc;
+      ++result.stats.short_circuited_points;
+    } else {
+      active.push_back(p);
+    }
+  }
   if (active.empty()) return result;
-
   const std::vector<std::unique_ptr<FaultOverlay>> overlays =
       build_point_overlays(network_, spec, active);
 
-  // Wave width: how many images are "live" at once. Concurrent shards land
-  // on distinct images of the wave, so golden builds parallelize across
-  // the pool instead of serializing on one image's key.
+  // Per-active-point tallies; integer sums make the result independent of
+  // the schedule.
+  std::vector<std::atomic<std::int64_t>> correct(active.size());
+  std::vector<std::atomic<std::int64_t>> flips(active.size());
+
+  // One unit = (image, point), image-major: a contiguous slice covers a
+  // few images across all their points, so one golden per (image, policy)
+  // serves the whole slice, and the pool's per-worker starting ranges land
+  // on distinct images, so golden builds spread across workers.
+  //
+  // Cells already journaled by a previous run seed the tallies directly;
+  // only the remainder is pending. Because every cell is a pure function
+  // of (point, image) within this environment, the resumed totals are
+  // bit-identical to an uninterrupted run (proved in store_test).
+  struct Unit {
+    std::int64_t image;
+    std::uint32_t a;  // index into `active`
+  };
+  std::vector<Unit> pending;
+  pending.reserve(static_cast<std::size_t>(images) * active.size());
+  for (std::int64_t i = 0; i < images; ++i) {
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      JournalCell cell;
+      if (journal != nullptr &&
+          journal->lookup(point_hashes[active[a]], i, &cell)) {
+        correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
+        flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
+        ++result.stats.journal_cells_loaded;
+        continue;
+      }
+      pending.push_back(Unit{i, static_cast<std::uint32_t>(a)});
+    }
+  }
+
+  // The sink takes this run's finished cells: the canonical journal for a
+  // local run, this worker's own segment for a shard with work to do —
+  // cached under reuse_handles so a sequential-adaptive consumer (TMR
+  // planner checks) does not re-read its own growing segment per campaign.
+  std::shared_ptr<ResultJournal> sink = journal;
+  std::string tag;
+  if (distributed && !pending.empty()) {
+    tag = sanitize_worker_tag(dist.worker_tag);
+    if (tag.empty()) tag = default_worker_tag();
+    sink = spec.store.reuse_handles
+               ? acquire_store_handles(spec.store, env,
+                                       ResultJournal::Mode::kAppend, tag)
+                     .journal
+               : std::make_shared<ResultJournal>(
+                     spec.store.dir, env, ResultJournal::Mode::kAppend, tag);
+  }
+  const std::int64_t sink_base = sink != nullptr ? sink->appended_cells() : 0;
+
+  // The budget only applies when the sink can take appends: without that
+  // (store disabled, or the journal or segment unwritable) a truncated run
+  // could never be resumed, so the budget would silently lose cells
+  // instead of checkpointing them. The cut is a prefix of the pending
+  // list, so every shard of a group cuts the same cells and derives the
+  // same buckets and board.
+  if (sink != nullptr && sink->can_append() && spec.store.cell_budget > 0 &&
+      static_cast<std::int64_t>(pending.size()) > spec.store.cell_budget) {
+    result.stats.cells_deferred =
+        static_cast<std::int64_t>(pending.size()) - spec.store.cell_budget;
+    pending.resize(static_cast<std::size_t>(spec.store.cell_budget));
+    // Partial tallies flow into the returned accuracies, so no consumer
+    // may mistake a budgeted checkpoint run for finished results.
+    WF_WARN << "campaign: cell budget deferred "
+            << result.stats.cells_deferred << " of "
+            << result.stats.cells_deferred + spec.store.cell_budget
+            << " pending cells; reported point results are PARTIAL until a "
+               "resume finishes them";
+  }
+
+  // Wave width: how many images are live at once. The default LRU
+  // capacity is the wave working set, one entry per live (image, policy),
+  // plus one-per-worker slack for workers straddling a wave boundary.
   const std::int64_t wave_width =
       std::min<std::int64_t>(images, std::max(threads, 1));
-
+  const std::int64_t policies = golden_policy_count(spec.points, active);
   const std::size_t capacity =
       spec.golden_capacity > 0
           ? spec.golden_capacity
-          : default_golden_capacity(spec.points, active, images, threads);
+          : static_cast<std::size_t>(
+                std::max<std::int64_t>(wave_width * policies + threads, 2));
   // External warm tier (core/service): serve goldens from the caller's
   // shared cross-campaign LRU instead of a campaign-local one. Its spill
   // target and end-of-run flush belong to its owner; stats below are
@@ -607,91 +677,28 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     // `capacity` above only covers one pass and would evict everything a
     // resident daemon keeps warm (images stream through it).
     lru.ensure_capacity(std::max(
-        capacity,
-        static_cast<std::size_t>(
-            images * golden_policy_count(spec.points, active) + threads)));
+        capacity, static_cast<std::size_t>(images * policies + threads)));
   }
   const std::int64_t lru_builds_base = lru.builds();
   const std::int64_t lru_hits_base = lru.hits();
   const std::int64_t lru_evictions_base = lru.evictions();
 
-  // Per-active-point tallies; integer sums make the result independent of
-  // the schedule.
-  std::vector<std::atomic<std::int64_t>> correct(active.size());
-  std::vector<std::atomic<std::int64_t>> flips(active.size());
-
-  // One unit = (image, point). Units are ordered in image waves of
-  // `wave_width`, point-major inside a wave (image varies fastest): the
-  // pool streams through bounded image windows — the access pattern the
-  // LRU retains — while neighbouring units touch different images, so the
-  // expensive golden builds spread across workers instead of funnelling
-  // through one in-flight future. Every point of a wave image that shares
-  // a policy reuses a single golden build.
-  //
-  // Cells already journaled by a previous run seed the tallies directly;
-  // only the remainder is scheduled. Because every cell is a pure function
-  // of (point, image) within this environment, the resumed totals are
-  // bit-identical to an uninterrupted run (proved in store_test).
-  struct Unit {
-    std::int64_t image;
-    std::uint32_t a;  // index into `active`
-  };
-  std::vector<Unit> units;
-  // End offset of each wave's unit slice: wave k owns
-  // units[wave_bounds[k-1], wave_bounds[k]). Slices are contiguous by
-  // construction (units append wave by wave).
-  std::vector<std::size_t> wave_bounds;
-  units.reserve(static_cast<std::size_t>(images) * active.size());
-  for (std::int64_t wave = 0; wave < images; wave += wave_width) {
-    const std::int64_t wave_end = std::min(images, wave + wave_width);
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      for (std::int64_t i = wave; i < wave_end; ++i) {
-        if (journal != nullptr) {
-          JournalCell cell;
-          if (journal->lookup(point_hashes[active[a]], i, &cell)) {
-            correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-            flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
-            ++result.stats.journal_cells_loaded;
-            continue;
-          }
-        }
-        units.push_back(Unit{i, static_cast<std::uint32_t>(a)});
-      }
-    }
-    wave_bounds.push_back(units.size());
-  }
-  // The budget only applies when an appendable journal exists to pick up
-  // the deferred cells: without one (store disabled, or the journal file
-  // unwritable) a truncated run could never be resumed, so the budget
-  // would silently lose cells instead of checkpointing them.
-  if (journal != nullptr && journal->can_append() &&
-      spec.store.cell_budget > 0 &&
-      static_cast<std::int64_t>(units.size()) > spec.store.cell_budget) {
-    result.stats.cells_deferred =
-        static_cast<std::int64_t>(units.size()) - spec.store.cell_budget;
-    units.resize(static_cast<std::size_t>(spec.store.cell_budget));
-    // Partial tallies flow into the returned accuracies, so no consumer
-    // may mistake a budgeted checkpoint run for finished results.
-    WF_WARN << "campaign: cell budget deferred "
-            << result.stats.cells_deferred << " of "
-            << result.stats.cells_deferred + spec.store.cell_budget
-            << " pending cells; reported point results are PARTIAL until a "
-               "resume finishes them";
-  }
-
-  // Progress/cancel bookkeeping (core/service): `done` feeds on_progress
-  // snapshots; `cancelled` counts cells skipped after the cancel flag
-  // flipped — they join cells_deferred, so a cancelled stored job is
-  // exactly a budget-truncated one (resubmitting resumes from the
-  // journal). `inferences` counts executed cells only.
-  const std::int64_t cells_total = static_cast<std::int64_t>(units.size());
+  // Progress/cancel bookkeeping (core/service): `done` counts executed
+  // cells and feeds on_progress snapshots; `cancelled` counts cells
+  // skipped after the cancel flag flipped — they join cells_deferred, so a
+  // cancelled stored job is exactly a budget-truncated one (resubmitting
+  // resumes from the journal).
   std::atomic<std::int64_t> done{0};
   std::atomic<std::int64_t> cancelled{0};
   std::atomic<std::int64_t> inferences{0};
+  const auto is_cancelled = [&] {
+    return spec.cancel != nullptr &&
+           spec.cancel->load(std::memory_order_relaxed);
+  };
   const auto emit_progress = [&] {
     if (!spec.on_progress) return;
     CampaignProgress progress;
-    progress.cells_total = cells_total;
+    progress.cells_total = static_cast<std::int64_t>(pending.size());
     progress.cells_done = done.load(std::memory_order_relaxed);
     progress.cells_loaded = result.stats.journal_cells_loaded;
     progress.cells_deferred = result.stats.cells_deferred +
@@ -700,57 +707,340 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   };
   emit_progress();  // totals up front, even for fully journal-served runs
 
-  // Wave-sliced execution: one parallel_for per wave. The pool starts each
-  // worker on its own contiguous range of units, so one loop over all
-  // units would put workers on images far apart and the live goldens would
-  // outgrow `capacity`; the per-wave barrier keeps them to one wave's
-  // images. Goldens build on demand inside execute_cell.
-  std::size_t wave_begin = 0;
-  telemetry::TraceSpan run_span("campaign_run", "campaign");
-  for (const std::size_t bound : wave_bounds) {
-    const std::size_t wave_end = std::min(bound, units.size());
-    if (wave_begin >= wave_end) continue;
-    waves_metric().add(1);
-    telemetry::TraceSpan wave_span("campaign_wave", "campaign");
-    parallel_for(static_cast<std::int64_t>(wave_end - wave_begin), threads,
-                 [&, wave_begin](std::int64_t w) {
-      const std::size_t u = wave_begin + static_cast<std::size_t>(w);
-      if (spec.cancel != nullptr &&
-          spec.cancel->load(std::memory_order_relaxed)) {
-        cancelled.fetch_add(1, std::memory_order_relaxed);
+  // The slice executor: runs units[0, n) on the pool, appending every
+  // finished cell with its cost record to the sink. With `tally` false
+  // (shard buckets) the point tallies come from the segments at assembly
+  // instead; a cancelled cell is counted as deferred only where its tally
+  // would have been taken, so a cell a bucket skipped counts once, when
+  // assembly finds it missing. `heartbeat` runs before each cell.
+  const std::int64_t die_after = distributed ? dist.die_after_cells : 0;
+  const auto run_slice = [&](const Unit* units, std::size_t n, bool tally,
+                             const std::function<void()>& heartbeat) {
+    parallel_for(static_cast<std::int64_t>(n), threads, [&](std::int64_t k) {
+      if (is_cancelled()) {
+        if (tally) cancelled.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      const std::int64_t i = units[u].image;
-      const std::size_t a = units[u].a;
-      const std::size_t p = active[a];
+      if (heartbeat) heartbeat();
+      const Unit& unit = units[k];
+      const std::size_t p = active[unit.a];
       JournalCost cost;
       const JournalCell cell =
           execute_cell(network_, dataset_, spec.points[p],
-                       point_hashes.empty() ? 0 : point_hashes[p], i, lru,
-                       overlays[p].get(), &cost);
-      if (journal != nullptr) {
-        journal->append(cell, spec.store.cost_ledger ? &cost : nullptr);
+                       point_hashes.empty() ? 0 : point_hashes[p], unit.image,
+                       lru, overlays[p].get(), cost);
+      if (sink != nullptr) {
+        // no-op if the sink is unwritable
+        sink->append(cell, spec.store.cost_ledger ? &cost : nullptr);
       }
-      correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
+      const std::int64_t executed =
+          done.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (die_after > 0 && executed >= die_after) {
+        // Deterministic crash simulation for tests/CI: die exactly like a
+        // kill -9 — no cleanup, claims left to go stale and be stolen.
+        WF_WARN << "campaign: worker " << tag << " self-SIGKILL after "
+                << die_after << " cells (die_after_cells)";
+        std::raise(SIGKILL);
+      }
+      if (tally) {
+        correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
+        flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
+      }
       inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-      done.fetch_add(1, std::memory_order_relaxed);
       emit_progress();
     });
-    wave_begin = wave_end;
-  }
-  result.stats.cells_deferred += cancelled.load();
+  };
 
+  if (!distributed || pending.empty() || !sink->can_append()) {
+    if (distributed && !pending.empty()) {
+      // Claimed work would be lost to every other worker: run the local
+      // schedule over all pending cells (correct, just not cooperative).
+      WF_WARN << "campaign: worker segment " << sink->path()
+              << " is unwritable; executing all pending cells locally "
+                 "(results stay correct but are not shared)";
+    }
+    // Local schedule: image waves of `wave_width` images, each a
+    // contiguous slice of the image-major pending list and one
+    // parallel_for. The pool starts each worker on its own contiguous
+    // range, so one loop over all units would put workers on images far
+    // apart and the live goldens would outgrow `capacity`; the per-wave
+    // barrier keeps them to one wave's images. Goldens build on demand
+    // inside execute_cell.
+    for (std::size_t begin = 0; begin < pending.size();) {
+      const std::int64_t wave_end =
+          (pending[begin].image / wave_width + 1) * wave_width;
+      std::size_t end = begin;
+      while (end < pending.size() && pending[end].image < wave_end) ++end;
+      waves_metric().add(1);
+      telemetry::TraceSpan wave_span("campaign_wave", "campaign");
+      run_slice(pending.data() + begin, end - begin, true, {});
+      begin = end;
+    }
+  } else {
+    static telemetry::Counter& claims_metric = telemetry::counter(
+        "winofault_dist_buckets_claimed_total",
+        "cost buckets this process claimed from the board");
+    static telemetry::Counter& steals_metric = telemetry::counter(
+        "winofault_dist_buckets_stolen_total",
+        "stale claims of dead workers taken over");
+    static telemetry::Counter& recovered_metric = telemetry::counter(
+        "winofault_dist_cells_recovered_total",
+        "cells folded in from rival worker segments at assembly");
+    static telemetry::Counter& healed_metric = telemetry::counter(
+        "winofault_dist_cells_healed_total",
+        "cells missing from every segment and re-executed locally");
+
+    // Cost-aware buckets + claim board: identical in every worker because
+    // both derive from the canonical pending set alone.
+    std::vector<double> point_weight(active.size());
+    for (std::size_t a = 0; a < active.size(); ++a) {
+      point_weight[a] = cell_cost_weight(network_, spec.points[active[a]]);
+    }
+    // Prefer MEASURED costs from the canonical journal's cost ledger (cells
+    // of the same point finished in earlier runs/resumes): a point with
+    // measured cells weighs its mean replay wall-micros; unmeasured points
+    // scale their estimate by the measured/estimated ratio over the
+    // measured ones so the two weight spaces stay commensurable.
+    // Deterministic across workers — the canonical journal is read-only and
+    // shared, and the fold below iterates in `active` order — so every
+    // worker still derives the identical bucket partition. Weights steer
+    // scheduling only; results are pure functions of the cell key either
+    // way.
+    {
+      const auto measured = journal->point_costs();
+      std::vector<double> mean_us(active.size(), 0.0);
+      double measured_sum = 0.0, estimate_sum = 0.0;
+      std::size_t measured_points = 0;
+      for (std::size_t a = 0; a < active.size(); ++a) {
+        const auto it = measured.find(point_hashes[active[a]]);
+        if (it == measured.end() || it->second.cells <= 0) continue;
+        mean_us[a] = std::max(static_cast<double>(it->second.wall_us) /
+                                  static_cast<double>(it->second.cells),
+                              1.0);
+        measured_sum += mean_us[a];
+        estimate_sum += point_weight[a];
+        ++measured_points;
+      }
+      if (measured_points > 0 && measured_sum > 0.0 && estimate_sum > 0.0) {
+        const double ratio = measured_sum / estimate_sum;
+        for (std::size_t a = 0; a < active.size(); ++a) {
+          point_weight[a] =
+              mean_us[a] > 0.0 ? mean_us[a] : point_weight[a] * ratio;
+        }
+        static telemetry::Counter& measured_metric = telemetry::counter(
+            "winofault_dist_measured_weight_points_total",
+            "dist points bucket-weighted by measured ledger costs");
+        measured_metric.add(static_cast<std::int64_t>(measured_points));
+        WF_INFO << "campaign: dist bucket weights use measured costs for "
+                << measured_points << "/" << active.size() << " point(s)";
+      }
+    }
+    std::vector<double> weights(pending.size());
+    std::vector<std::uint64_t> pending_keys(pending.size());
+    for (std::size_t u = 0; u < pending.size(); ++u) {
+      weights[u] = point_weight[pending[u].a];
+      pending_keys[u] = journal_cell_key(point_hashes[active[pending[u].a]],
+                                         pending[u].image);
+    }
+    const std::size_t target_buckets =
+        std::min(pending.size(),
+                 static_cast<std::size_t>(dist.shard_count) *
+                     static_cast<std::size_t>(
+                         std::max(dist.buckets_per_worker, 1)));
+    const std::vector<CostBucket> buckets =
+        make_cost_buckets(weights, target_buckets);
+    ClaimBoard board(spec.store.dir,
+                     dist_board_key(env, pending_keys, buckets.size()), tag,
+                     dist.claim_stale_ms);
+
+    // Executes claimed bucket `b` and marks it done. A bucket cut short by
+    // cancel keeps its claim instead — no segment holds its skipped cells —
+    // which goes stale and is stolen like a dead worker's; returns false.
+    std::atomic<std::int64_t> last_heartbeat_ms{0};
+    const auto now_ms = [] {
+      return std::chrono::duration_cast<std::chrono::milliseconds>(
+                 std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+    };
+    const auto run_bucket = [&](int b) {
+      const CostBucket& bucket = buckets[static_cast<std::size_t>(b)];
+      last_heartbeat_ms.store(now_ms(), std::memory_order_relaxed);
+      run_slice(pending.data() + bucket.begin, bucket.end - bucket.begin,
+                false, [&] {
+        // Freshen the claim BEFORE the (possibly long) cell so the mtime is
+        // at worst one cell old; rate-limited to a fraction of the
+        // staleness window. A single cell longer than claim_stale_ms can
+        // still be presumed abandoned and stolen — wasted duplicate work,
+        // never divergence — so size the window above the heaviest cell.
+        const std::int64_t now = now_ms();
+        std::int64_t last = last_heartbeat_ms.load(std::memory_order_relaxed);
+        if (now - last >= std::max<std::int64_t>(dist.claim_stale_ms / 4, 1) &&
+            last_heartbeat_ms.compare_exchange_strong(last, now)) {
+          board.heartbeat(b);
+        }
+      });
+      if (is_cancelled()) return false;
+      board.mark_done(b);
+      ++result.stats.dist_buckets_claimed;
+      claims_metric.add(1);
+      return true;
+    };
+
+    // Claim / steal / wait until every bucket is done or the run is
+    // cancelled. `order` rotates the heaviest-first preference per shard so
+    // workers fan out instead of racing on the same bucket.
+    const std::vector<int> order =
+        bucket_claim_order(buckets, dist.shard_index, dist.shard_count);
+    int fruitless_rounds = 0;  // no progress AND no live claim anywhere
+    while (!is_cancelled()) {
+      int finished = 0;
+      bool progressed = false;
+      for (const int b : order) {
+        if (board.is_done(b)) {
+          ++finished;
+        } else if (!is_cancelled() && board.try_claim(b) && run_bucket(b)) {
+          ++finished;
+          progressed = true;
+        }
+      }
+      if (finished >= static_cast<int>(buckets.size())) break;
+      if (!progressed) {
+        // Every unfinished bucket is claimed by a rival: steal the stale
+        // ones (dead workers), otherwise wait for the live ones.
+        for (const int b : order) {
+          if (board.is_done(b) || is_cancelled() || !board.try_steal(b)) {
+            continue;
+          }
+          if (telemetry::events_enabled()) {
+            telemetry::emit_event("dist_steal", {{"worker", tag}},
+                                  {{"bucket", b}});
+          }
+          if (run_bucket(b)) {
+            ++result.stats.dist_buckets_stolen;
+            steals_metric.add(1);
+            progressed = true;
+          }
+        }
+      }
+      if (!progressed) {
+        // Liveness guard: if our claims fail while NO unfinished bucket has
+        // a claim either, nobody can be making progress — the board is
+        // unusable (directory uncreatable, or deleted out from under live
+        // workers by a premature merge). Waiting would hang forever;
+        // execute the remainder non-cooperatively instead (duplicate work
+        // at worst, never divergence).
+        bool any_claim = false;
+        for (const int b : order) {
+          if (!board.is_done(b) && board.has_claim(b)) {
+            any_claim = true;
+            break;
+          }
+        }
+        fruitless_rounds = any_claim ? 0 : fruitless_rounds + 1;
+        if (!board.usable() || fruitless_rounds >= 3) {
+          WF_WARN << "campaign: claim board " << board.dir()
+                  << " is unusable; executing remaining buckets without "
+                     "coordination";
+          for (const int b : order) {
+            if (!board.is_done(b)) run_bucket(b);  // mark_done best-effort
+          }
+          break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::max<std::int64_t>(dist.poll_ms, 1)));
+      }
+    }
+
+    // Assembly: every pending cell is durable in some segment (done markers
+    // imply flushed appends). Own cells first — everything this worker
+    // executed is already in its segment handle's in-memory map, no disk —
+    // then rival segments (and leftovers of crashed workers of earlier
+    // generations) only for the cells still unaccounted for. A worker that
+    // executed everything, and a sequential-adaptive consumer re-entering
+    // with a cached segment handle, never re-read the directory.
+    std::vector<std::size_t> unresolved;
+    for (std::size_t u = 0; u < pending.size(); ++u) {
+      const Unit& unit = pending[u];
+      JournalCell cell;
+      if (sink->lookup(point_hashes[active[unit.a]], unit.image, &cell)) {
+        correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
+        flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
+      } else {
+        unresolved.push_back(u);
+      }
+    }
+    std::vector<Unit> missing;
+    if (!unresolved.empty()) {
+      std::unordered_map<std::uint64_t, JournalCell> durable;
+      for (const ResultJournal::SegmentRef& seg :
+           ResultJournal::list_segments(spec.store.dir)) {
+        if (seg.env_hash != env || seg.path == sink->path()) continue;
+        // Rival segments go through the process-wide read cache: only the
+        // suffix appended since the last campaign is parsed, so
+        // sequential-adaptive consumers (TMR planner checks) are O(new
+        // cells), not O(all rival cells), per campaign. Torn tails are
+        // tolerated exactly as with a direct read.
+        std::vector<JournalCell> cells;
+        if (!read_segment_cells_cached(seg.path, env, &cells)) continue;
+        for (const JournalCell& cell : cells) {
+          durable.emplace(journal_cell_key(cell.point_hash, cell.image),
+                          cell);
+        }
+      }
+      for (const std::size_t u : unresolved) {
+        const Unit& unit = pending[u];
+        const auto it = durable.find(pending_keys[u]);
+        // journal_cell_key is a lossy 64-bit hash: verify the full identity
+        // (as ResultJournal::lookup does) so a key collision counts as
+        // missing and self-heals instead of tallying the wrong cell.
+        if (it == durable.end() ||
+            it->second.point_hash != point_hashes[active[unit.a]] ||
+            it->second.image != unit.image) {
+          missing.push_back(unit);
+          continue;
+        }
+        correct[unit.a].fetch_add(it->second.correct,
+                                  std::memory_order_relaxed);
+        flips[unit.a].fetch_add(it->second.flips, std::memory_order_relaxed);
+      }
+    }
+    result.stats.dist_cells_recovered =
+        static_cast<std::int64_t>(unresolved.size() - missing.size());
+    recovered_metric.add(result.stats.dist_cells_recovered);
+    if (!missing.empty()) {
+      // Self-heal: a done marker without durable cells (e.g. a segment hit
+      // disk-full after its bucket was marked) — execute the gap here. The
+      // cells a cancelled run skipped land here too; the executor defers
+      // them.
+      if (!is_cancelled()) {
+        WF_WARN << "campaign: " << missing.size()
+                << " cell(s) missing from every segment; re-executing "
+                   "locally";
+        if (telemetry::events_enabled()) {
+          telemetry::emit_event(
+              "dist_heal", {{"worker", tag}},
+              {{"cells", static_cast<std::int64_t>(missing.size())}});
+        }
+      }
+      const std::int64_t done_before = done.load();
+      run_slice(missing.data(), missing.size(), true, {});
+      result.stats.dist_cells_healed = done.load() - done_before;
+      healed_metric.add(result.stats.dist_cells_healed);
+    }
+  }
+
+  result.stats.cells_deferred += cancelled.load();
   for (std::size_t a = 0; a < active.size(); ++a) {
     const CampaignPoint& point = spec.points[active[a]];
-    const double inferences = static_cast<double>(images) *
-                              static_cast<double>(point.trials);
+    const double point_inferences = static_cast<double>(images) *
+                                    static_cast<double>(point.trials);
     EvalResult& r = result.points[active[a]];
     r.images = static_cast<int>(images);
-    r.accuracy = static_cast<double>(correct[a].load()) / inferences;
-    r.avg_flips = static_cast<double>(flips[a].load()) / inferences;
+    r.accuracy = static_cast<double>(correct[a].load()) / point_inferences;
+    r.avg_flips = static_cast<double>(flips[a].load()) / point_inferences;
   }
   result.stats.inferences = inferences.load();
+  if (distributed) result.stats.dist_cells_executed = done.load();
   // A shared warm tier outlives this campaign: flushing (and the decision
   // when to) belongs to its owner — the daemon flushes at drain.
   if (spec.warm_goldens == nullptr) {
@@ -759,477 +1049,13 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   result.stats.golden_builds = lru.builds() - lru_builds_base;
   result.stats.golden_hits = lru.hits() - lru_hits_base;
   result.stats.golden_evictions = lru.evictions() - lru_evictions_base;
-  if (journal != nullptr) {
-    result.stats.journal_cells_written =
-        journal->appended_cells() - journal_base;
+  if (sink != nullptr) {
+    result.stats.journal_cells_written = sink->appended_cells() - sink_base;
   }
   if (golden_store != nullptr) {
     result.stats.golden_spills = golden_store->spills() - spills_base;
     result.stats.golden_restores = golden_store->restores() - restores_base;
   }
-  return result;
-}
-
-// Distributed execution (core/dist). This process is worker shard_index of
-// shard_count sharing spec.store.dir. Protocol per campaign:
-//
-//   1. Pending cells are derived from the *canonical* journal alone
-//      (opened read-only — only the coordinator's merge writes it), so
-//      every worker computes the identical pending set, bucket partition,
-//      and claim-board key without communicating.
-//   2. Buckets are claimed through the board (atomic link), executed with
-//      this worker's thread share, and every finished cell is appended to
-//      this worker's own segment — no cross-process contention on the hot
-//      path. Claims are heartbeaten as cells finish; stale claims of dead
-//      workers are stolen and their buckets re-executed (duplicate cells
-//      are identical by determinism).
-//   3. When every bucket is done, the worker assembles the full result
-//      from canonical cells + the union of all segments. The totals are
-//      integer sums of deterministic cells, so the assembled result is
-//      bit-identical to a single-process run (tests/dist_test.cpp).
-CampaignResult CampaignRunner::run_distributed(
-    const CampaignSpec& spec) const {
-  telemetry::TraceSpan run_span("campaign_run_distributed", "dist");
-  static telemetry::Counter& claims_metric = telemetry::counter(
-      "winofault_dist_buckets_claimed_total",
-      "cost buckets this process claimed from the board");
-  static telemetry::Counter& steals_metric = telemetry::counter(
-      "winofault_dist_buckets_stolen_total",
-      "stale claims of dead workers taken over");
-  static telemetry::Counter& recovered_metric = telemetry::counter(
-      "winofault_dist_cells_recovered_total",
-      "cells folded in from rival worker segments at assembly");
-  static telemetry::Counter& healed_metric = telemetry::counter(
-      "winofault_dist_cells_healed_total",
-      "cells missing from every segment and re-executed locally");
-  const DistOptions& dist = spec.store.dist;
-  WF_CHECK(dist.shard_index >= 0 && dist.shard_index < dist.shard_count);
-  const std::uint64_t env = env_hash();
-  std::string tag = sanitize_worker_tag(dist.worker_tag);
-  if (tag.empty()) tag = default_worker_tag();
-
-  // Workers of a local coordinator run side by side on one machine and
-  // split it evenly; a hand-started shard on its own host uses all of it.
-  const int threads =
-      spec.threads > 0
-          ? spec.threads
-          : (dist.share_host
-                 ? std::max(1, default_thread_count() / dist.shard_count)
-                 : default_thread_count());
-
-  CampaignResult result;
-  result.points.resize(spec.points.size());
-
-  std::vector<std::uint64_t> point_hashes(spec.points.size());
-  for (std::size_t p = 0; p < spec.points.size(); ++p) {
-    point_hashes[p] = campaign_point_hash(spec.points[p]);
-  }
-
-  const std::vector<std::size_t> active =
-      resolve_active_points(network_, dataset_, spec, &result);
-  if (active.empty()) return result;
-
-  // Overlays are derived, not communicated: every worker computes the
-  // identical per-point defect sets from the spec alone.
-  const std::vector<std::unique_ptr<FaultOverlay>> overlays =
-      build_point_overlays(network_, spec, active);
-
-  if (spec.store.cell_budget > 0) {
-    WF_WARN << "campaign: cell_budget is ignored under distributed "
-               "execution (workers cooperate to finish every cell)";
-  }
-
-  // Canonical journal, read-only: workers never write it (the merge step
-  // owns it), so N workers can recover it concurrently without racing on
-  // its repair path.
-  std::shared_ptr<ResultJournal> canonical;
-  std::shared_ptr<GoldenStore> golden_store;
-  if (spec.store.reuse_handles) {
-    const StoreHandles handles = acquire_store_handles(
-        spec.store, env, ResultJournal::Mode::kReadOnly);
-    canonical = handles.journal;
-    golden_store = handles.goldens;
-  } else {
-    canonical = std::make_shared<ResultJournal>(
-        spec.store.dir, env, ResultJournal::Mode::kReadOnly);
-    if (spec.store.spill_goldens) {
-      golden_store = std::make_shared<GoldenStore>(
-          spec.store.dir, env, spec.store.golden_disk_budget);
-    }
-  }
-  // Reused (cached) handles carry activity from earlier campaigns in this
-  // process; per-run accounting is relative to these baselines.
-  const std::int64_t spills_base =
-      golden_store != nullptr ? golden_store->spills() : 0;
-  const std::int64_t restores_base =
-      golden_store != nullptr ? golden_store->restores() : 0;
-
-  // Pending units, image-major: contiguous bucket slices then cover a few
-  // images across all their points, so one golden per (image, policy)
-  // serves a whole slice.
-  const std::int64_t images =
-      static_cast<std::int64_t>(dataset_.images.size());
-  struct Unit {
-    std::int64_t image;
-    std::uint32_t a;
-  };
-  std::vector<Unit> pending;
-  std::vector<std::uint64_t> pending_keys;
-  std::vector<std::atomic<std::int64_t>> correct(active.size());
-  std::vector<std::atomic<std::int64_t>> flips(active.size());
-  for (std::int64_t i = 0; i < images; ++i) {
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      JournalCell cell;
-      if (canonical->lookup(point_hashes[active[a]], i, &cell)) {
-        correct[a].fetch_add(cell.correct, std::memory_order_relaxed);
-        flips[a].fetch_add(cell.flips, std::memory_order_relaxed);
-        ++result.stats.journal_cells_loaded;
-        continue;
-      }
-      pending.push_back(Unit{i, static_cast<std::uint32_t>(a)});
-      pending_keys.push_back(
-          journal_cell_key(point_hashes[active[a]], i));
-    }
-  }
-
-  const auto finalize = [&](GoldenLru* lru, std::int64_t cells_written) {
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const CampaignPoint& point = spec.points[active[a]];
-      const double inferences = static_cast<double>(images) *
-                                static_cast<double>(point.trials);
-      EvalResult& r = result.points[active[a]];
-      r.images = static_cast<int>(images);
-      r.accuracy = static_cast<double>(correct[a].load()) / inferences;
-      r.avg_flips = static_cast<double>(flips[a].load()) / inferences;
-    }
-    if (lru != nullptr) {
-      result.stats.golden_flushed = lru->flush_to_store();
-      result.stats.golden_builds = lru->builds();
-      result.stats.golden_hits = lru->hits();
-      result.stats.golden_evictions = lru->evictions();
-    }
-    result.stats.journal_cells_written = cells_written;
-    if (golden_store != nullptr) {
-      result.stats.golden_spills = golden_store->spills() - spills_base;
-      result.stats.golden_restores =
-          golden_store->restores() - restores_base;
-    }
-  };
-  if (pending.empty()) {
-    finalize(nullptr, 0);
-    return result;
-  }
-
-  // Cost-aware buckets + claim board: identical in every worker because
-  // both derive from the canonical pending set alone.
-  std::vector<double> point_weight(active.size());
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    point_weight[a] = cell_cost_weight(network_, spec.points[active[a]]);
-  }
-  // Prefer MEASURED costs from the canonical journal's cost ledger (cells
-  // of the same point finished in earlier runs/resumes): a point with
-  // measured cells weighs its mean replay wall-micros; unmeasured points
-  // scale their estimate by the measured/estimated ratio over the measured
-  // ones so the two weight spaces stay commensurable. Deterministic across
-  // workers — the canonical journal is read-only and shared, and the fold
-  // below iterates in `active` order — so every worker still derives the
-  // identical bucket partition. Weights steer scheduling only; results are
-  // pure functions of the cell key either way.
-  {
-    const auto measured = canonical->point_costs();
-    std::vector<double> mean_us(active.size(), 0.0);
-    double measured_sum = 0.0, estimate_sum = 0.0;
-    std::size_t measured_points = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const auto it = measured.find(point_hashes[active[a]]);
-      if (it == measured.end() || it->second.cells <= 0) continue;
-      mean_us[a] = std::max(static_cast<double>(it->second.wall_us) /
-                                static_cast<double>(it->second.cells),
-                            1.0);
-      measured_sum += mean_us[a];
-      estimate_sum += point_weight[a];
-      ++measured_points;
-    }
-    if (measured_points > 0 && measured_sum > 0.0 && estimate_sum > 0.0) {
-      const double ratio = measured_sum / estimate_sum;
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        point_weight[a] =
-            mean_us[a] > 0.0 ? mean_us[a] : point_weight[a] * ratio;
-      }
-      static telemetry::Counter& measured_metric = telemetry::counter(
-          "winofault_dist_measured_weight_points_total",
-          "dist points bucket-weighted by measured ledger costs");
-      measured_metric.add(static_cast<std::int64_t>(measured_points));
-      WF_INFO << "campaign: dist bucket weights use measured costs for "
-              << measured_points << "/" << active.size() << " point(s)";
-    }
-  }
-  std::vector<double> weights(pending.size());
-  for (std::size_t u = 0; u < pending.size(); ++u) {
-    weights[u] = point_weight[pending[u].a];
-  }
-  const std::size_t target_buckets =
-      std::min(pending.size(),
-               static_cast<std::size_t>(dist.shard_count) *
-                   static_cast<std::size_t>(
-                       std::max(dist.buckets_per_worker, 1)));
-  const std::vector<CostBucket> buckets =
-      make_cost_buckets(weights, target_buckets);
-  const int bucket_count = static_cast<int>(buckets.size());
-  ClaimBoard board(spec.store.dir,
-                   dist_board_key(env, pending_keys, buckets.size()), tag,
-                   dist.claim_stale_ms);
-
-  // This worker's own journal segment. If it cannot take appends, claimed
-  // work would be lost to every other worker — degrade to a local run of
-  // all pending cells (correct, just not cooperative). Cached under
-  // reuse_handles so a sequential-adaptive consumer (TMR planner checks)
-  // does not re-read its own growing segment per campaign.
-  std::shared_ptr<ResultJournal> segment;
-  if (spec.store.reuse_handles) {
-    segment = acquire_store_handles(spec.store, env,
-                                    ResultJournal::Mode::kAppend, tag)
-                  .journal;
-  }
-  if (segment == nullptr) {
-    segment = std::make_shared<ResultJournal>(
-        spec.store.dir, env, ResultJournal::Mode::kAppend, tag);
-  }
-  // A reused handle carries appends from earlier campaigns; all per-run
-  // accounting below is relative to this baseline.
-  const std::int64_t segment_base = segment->appended_cells();
-  const std::size_t capacity =
-      spec.golden_capacity > 0
-          ? spec.golden_capacity
-          : default_golden_capacity(spec.points, active, images, threads);
-  GoldenLru lru(capacity, golden_store.get());
-
-  std::atomic<std::int64_t> executed{0};
-  std::atomic<std::int64_t> inferences{0};
-  std::atomic<std::int64_t> last_heartbeat_ms{0};
-  const auto now_ms = [] {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
-  const auto execute_unit = [&](const Unit& unit) {
-    const std::size_t p = active[unit.a];
-    JournalCost cost;
-    const JournalCell cell =
-        execute_cell(network_, dataset_, spec.points[p], point_hashes[p],
-                     unit.image, lru, overlays[p].get(), &cost);
-    // no-op if the segment is unwritable
-    segment->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-    inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-    const std::int64_t n =
-        executed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (dist.die_after_cells > 0 && n >= dist.die_after_cells) {
-      // Deterministic crash simulation for tests/CI: die exactly like a
-      // kill -9 — no cleanup, claims left to go stale and be stolen.
-      WF_WARN << "campaign: worker " << tag << " self-SIGKILL after "
-              << dist.die_after_cells << " cells (die_after_cells)";
-      std::raise(SIGKILL);
-    }
-    return cell;
-  };
-  const auto execute_bucket = [&](int b) {
-    const CostBucket& bucket = buckets[static_cast<std::size_t>(b)];
-    last_heartbeat_ms.store(now_ms(), std::memory_order_relaxed);
-    parallel_for(static_cast<std::int64_t>(bucket.end - bucket.begin),
-                 threads, [&](std::int64_t k) {
-      // Freshen the claim BEFORE the (possibly long) cell so the mtime is
-      // at worst one cell old; rate-limited to a fraction of the
-      // staleness window. A single cell longer than claim_stale_ms can
-      // still be presumed abandoned and stolen — wasted duplicate work,
-      // never divergence — so size the window above the heaviest cell.
-      const std::int64_t now = now_ms();
-      std::int64_t last = last_heartbeat_ms.load(std::memory_order_relaxed);
-      if (now - last >= std::max<std::int64_t>(dist.claim_stale_ms / 4, 1) &&
-          last_heartbeat_ms.compare_exchange_strong(last, now)) {
-        board.heartbeat(b);
-      }
-      execute_unit(pending[bucket.begin + static_cast<std::size_t>(k)]);
-    });
-  };
-
-  if (!segment->can_append()) {
-    WF_WARN << "campaign: worker segment " << segment->path()
-            << " is unwritable; executing all pending cells locally "
-               "(results stay correct but are not shared)";
-    // Same per-cell bookkeeping (execution counter, die switch) as the
-    // cooperative path, but tallied directly — there is no assembly pass
-    // down here.
-    parallel_for(static_cast<std::int64_t>(pending.size()), threads,
-                 [&](std::int64_t u) {
-      const Unit& unit = pending[static_cast<std::size_t>(u)];
-      const JournalCell cell = execute_unit(unit);
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
-    });
-    result.stats.dist_cells_executed = executed.load();
-    result.stats.inferences = inferences.load();
-    finalize(&lru, 0);
-    return result;
-  }
-
-  // Claim / steal / wait until every bucket is done. `order` rotates the
-  // heaviest-first preference per shard so workers fan out instead of
-  // racing on the same bucket.
-  const std::vector<int> order =
-      bucket_claim_order(buckets, dist.shard_index, dist.shard_count);
-  int fruitless_rounds = 0;  // no progress AND no live claim anywhere
-  while (true) {
-    int done = 0;
-    bool progressed = false;
-    for (const int b : order) {
-      if (board.is_done(b)) {
-        ++done;
-        continue;
-      }
-      if (board.try_claim(b)) {
-        execute_bucket(b);
-        board.mark_done(b);
-        ++result.stats.dist_buckets_claimed;
-        claims_metric.add(1);
-        ++done;
-        progressed = true;
-      }
-    }
-    if (done >= bucket_count) break;
-    if (!progressed) {
-      // Every unfinished bucket is claimed by a rival: steal the stale
-      // ones (dead workers), otherwise wait for the live ones.
-      for (const int b : order) {
-        if (!board.is_done(b) && board.try_steal(b)) {
-          if (telemetry::events_enabled()) {
-            telemetry::emit_event("dist_steal", {{"worker", tag}},
-                                  {{"bucket", b}});
-          }
-          execute_bucket(b);
-          board.mark_done(b);
-          ++result.stats.dist_buckets_claimed;
-          ++result.stats.dist_buckets_stolen;
-          claims_metric.add(1);
-          steals_metric.add(1);
-          progressed = true;
-        }
-      }
-    }
-    if (!progressed) {
-      // Liveness guard: if our claims fail while NO unfinished bucket has
-      // a claim either, nobody can be making progress — the board is
-      // unusable (directory uncreatable, or deleted out from under live
-      // workers by a premature merge). Waiting would hang forever;
-      // execute the remainder non-cooperatively instead (duplicate work
-      // at worst, never divergence).
-      bool any_claim = false;
-      for (const int b : order) {
-        if (!board.is_done(b) && board.has_claim(b)) {
-          any_claim = true;
-          break;
-        }
-      }
-      fruitless_rounds = any_claim ? 0 : fruitless_rounds + 1;
-      if (!board.usable() || fruitless_rounds >= 3) {
-        WF_WARN << "campaign: claim board " << board.dir()
-                << " is unusable; executing remaining buckets without "
-                   "coordination";
-        for (const int b : order) {
-          if (board.is_done(b)) continue;
-          execute_bucket(b);
-          board.mark_done(b);  // best-effort
-          ++result.stats.dist_buckets_claimed;
-          claims_metric.add(1);
-        }
-        break;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::max<std::int64_t>(dist.poll_ms, 1)));
-    }
-  }
-
-  // Assembly: every pending cell is durable in some segment (done markers
-  // imply flushed appends). Own cells first — everything this worker
-  // executed is already in its segment handle's in-memory map, no disk —
-  // then rival segments (and leftovers of crashed workers of earlier
-  // generations) only for the cells still unaccounted for. A worker that
-  // executed everything, and a sequential-adaptive consumer re-entering
-  // with a cached segment handle, never re-read the directory.
-  std::vector<std::size_t> unresolved;
-  for (std::size_t u = 0; u < pending.size(); ++u) {
-    const Unit& unit = pending[u];
-    JournalCell cell;
-    if (segment->lookup(point_hashes[active[unit.a]], unit.image, &cell)) {
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
-    } else {
-      unresolved.push_back(u);
-    }
-  }
-  std::vector<Unit> missing;
-  if (!unresolved.empty()) {
-    std::unordered_map<std::uint64_t, JournalCell> durable;
-    for (const ResultJournal::SegmentRef& seg :
-         ResultJournal::list_segments(spec.store.dir)) {
-      if (seg.env_hash != env || seg.path == segment->path()) continue;
-      // Rival segments go through the process-wide read cache: only the
-      // suffix appended since the last campaign is parsed, so
-      // sequential-adaptive consumers (TMR planner checks) are O(new
-      // cells), not O(all rival cells), per campaign. Torn tails are
-      // tolerated exactly as with a direct read.
-      std::vector<JournalCell> cells;
-      if (!read_segment_cells_cached(seg.path, env, &cells)) continue;
-      for (const JournalCell& cell : cells) {
-        durable.emplace(journal_cell_key(cell.point_hash, cell.image), cell);
-      }
-    }
-    for (const std::size_t u : unresolved) {
-      const Unit& unit = pending[u];
-      const auto it = durable.find(pending_keys[u]);
-      // journal_cell_key is a lossy 64-bit hash: verify the full identity
-      // (as ResultJournal::lookup does) so a key collision counts as
-      // missing and self-heals instead of tallying the wrong cell.
-      if (it == durable.end() ||
-          it->second.point_hash != point_hashes[active[unit.a]] ||
-          it->second.image != unit.image) {
-        missing.push_back(unit);
-        continue;
-      }
-      correct[unit.a].fetch_add(it->second.correct,
-                                std::memory_order_relaxed);
-      flips[unit.a].fetch_add(it->second.flips, std::memory_order_relaxed);
-    }
-  }
-  result.stats.dist_cells_recovered =
-      static_cast<std::int64_t>(unresolved.size() - missing.size());
-  recovered_metric.add(result.stats.dist_cells_recovered);
-  if (!missing.empty()) {
-    // Self-heal: a done marker without durable cells (e.g. a segment hit
-    // disk-full after its bucket was marked) — execute the gap locally.
-    WF_WARN << "campaign: " << missing.size()
-            << " cell(s) missing from every segment; re-executing locally";
-    if (telemetry::events_enabled()) {
-      telemetry::emit_event(
-          "dist_heal", {{"worker", tag}},
-          {{"cells", static_cast<std::int64_t>(missing.size())}});
-    }
-    for (const Unit& unit : missing) {
-      const std::size_t p = active[unit.a];
-      JournalCost cost;
-      const JournalCell cell =
-          execute_cell(network_, dataset_, spec.points[p], point_hashes[p],
-                       unit.image, lru, overlays[p].get(), &cost);
-      segment->append(cell, spec.store.cost_ledger ? &cost : nullptr);
-      inferences.fetch_add(spec.points[p].trials, std::memory_order_relaxed);
-      correct[unit.a].fetch_add(cell.correct, std::memory_order_relaxed);
-      flips[unit.a].fetch_add(cell.flips, std::memory_order_relaxed);
-      ++result.stats.dist_cells_healed;
-      healed_metric.add(1);
-    }
-  }
-  result.stats.dist_cells_executed = executed.load();
-  result.stats.inferences = inferences.load();
-  finalize(&lru, segment->appended_cells() - segment_base);
   return result;
 }
 

@@ -26,12 +26,15 @@
 // and incremental regeneration, and evicted goldens spill to checksummed
 // shards restored on miss — still bit-identical (tests/store_test.cpp).
 //
-// With store.dist.shard_count > 1 the campaign executes distributed
-// (core/dist): this process claims cost-weighted buckets of pending cells
-// from a shared claim board, appends finished cells to its own journal
-// segment, steals stale claims of dead workers, and assembles the full
-// result from the union of all workers' segments — bit-identical to a
-// single-process run (tests/dist_test.cpp).
+// With store.dist.shard_count > 1 this process is one shard of a
+// distributed campaign (core/dist). The same executor runs it; only the
+// schedule differs: the shard claims cost-weighted buckets of pending
+// cells from a shared claim board instead of running image waves, appends
+// finished cells to its own journal segment, steals stale claims of dead
+// workers, and assembles the full result from the union of all workers'
+// segments — bit-identical to a single-process run (tests/dist_test.cpp).
+// Cancel, cell_budget, progress and the warm golden tier behave the same
+// on both schedules.
 #pragma once
 
 #include <atomic>
@@ -80,13 +83,14 @@ struct CampaignPoint {
 
 class GoldenLru;
 
-// Progress snapshot streamed to CampaignSpec::on_progress as cells finish
-// (local execution path; distributed workers report through the store).
+// Progress snapshot streamed to CampaignSpec::on_progress as cells finish.
+// A shard counts the cells it executes itself; cells it assembles from
+// rival segments are not progress.
 struct CampaignProgress {
   std::int64_t cells_total = 0;     // cells scheduled this run
   std::int64_t cells_done = 0;      // executed so far (monotonic)
   std::int64_t cells_loaded = 0;    // journal cells reused instead of run
-  std::int64_t cells_deferred = 0;  // budget- or cancel-skipped so far
+  std::int64_t cells_deferred = 0;  // past cell_budget or cancel-skipped
 };
 
 struct CampaignSpec {
@@ -106,8 +110,8 @@ struct CampaignSpec {
 
   // ---- Resident-service hooks (core/service). None of these fields can
   // change any result (none joins a hash): they change who executes and
-  // what is observed, never what is computed. All apply to the local
-  // execution path only. ----
+  // what is observed, never what is computed. All apply to local runs and
+  // distributed shards alike. ----
 
   // External cross-campaign golden tier: when set, the runner serves
   // goldens from this shared LRU (growing its capacity to at least this
@@ -138,7 +142,7 @@ struct CampaignStats {
   // Persistent-store activity (all zero when the store is disabled):
   std::int64_t journal_cells_loaded = 0;   // cells reused from the journal
   std::int64_t journal_cells_written = 0;  // cells appended this run
-  std::int64_t cells_deferred = 0;         // pending cells past cell_budget
+  std::int64_t cells_deferred = 0;  // past cell_budget or cancel-skipped
   std::int64_t golden_spills = 0;          // goldens serialized to disk
   std::int64_t golden_restores = 0;        // disk restores instead of builds
   std::int64_t golden_flushed = 0;  // still-resident goldens written at end
@@ -256,8 +260,6 @@ class CampaignRunner {
   std::uint64_t env_hash() const;
 
  private:
-  CampaignResult run_distributed(const CampaignSpec& spec) const;
-
   const Network& network_;
   const Dataset& dataset_;
   // 0 = not yet computed (a true hash of 0 just recomputes — benign).

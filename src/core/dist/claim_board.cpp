@@ -70,7 +70,15 @@ bool ClaimBoard::try_claim(int bucket) {
   iofault::checked_link(tmp, claim_path(bucket), ec);
   std::error_code ignore;
   fs::remove(tmp, ignore);
-  return !ec;
+  if (ec) return false;
+  // The owner may have finished the bucket between the is_done check and
+  // the link (mark_done renames the claim away, so the link succeeds):
+  // retire the new claim instead of re-executing a done bucket.
+  if (is_done(bucket)) {
+    fs::remove(claim_path(bucket), ignore);
+    return false;
+  }
+  return true;
 }
 
 bool ClaimBoard::try_steal(int bucket) {

@@ -1,6 +1,6 @@
 // Process-wide cache of parsed journal-segment cells, keyed by file path.
 //
-// A distributed worker's assembly pass (core/campaign run_distributed)
+// A distributed worker's assembly pass (core/campaign CampaignRunner::run)
 // reads every *rival* segment in the store directory to account for cells
 // it did not execute itself. Sequential-adaptive consumers — the TMR
 // planner runs hundreds of tiny campaigns per figure — would re-parse the

@@ -7,7 +7,9 @@
 //   (c) merging folds overlapping/duplicate segments into the canonical
 //       journal exactly once per cell, and rejects corrupt segments;
 //   (d) the cost-bucket partition covers every pending unit exactly once
-//       and isolates over-heavy units.
+//       and isolates over-heavy units;
+//   (e) a shard obeys the run controls a local run does: cancel,
+//       cell_budget and on_progress.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -15,6 +17,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -614,6 +617,63 @@ TEST(Dist, CostlessSegmentsMergeCleanlyIntoLedgeredCanonical) {
   ResultJournal canonical(dir, env, ResultJournal::Mode::kReadOnly);
   EXPECT_EQ(canonical.recovered_cells(), cells + extra_cells);
   EXPECT_EQ(canonical.cost_records(), cells);
+}
+
+// ---- (e) run controls ----
+
+TEST(Dist, ShardHonoursCancelBudgetAndProgress) {
+  const Fixture f = make_fixture();
+  CampaignSpec plain;
+  plain.points = small_grid();
+  plain.threads = 1;
+  const CampaignResult reference = run_campaign(f.net, f.data, plain);
+  const std::int64_t cells =
+      static_cast<std::int64_t>(f.data.images.size() * plain.points.size());
+
+  // Cancelled before it starts: the shard executes nothing and defers
+  // every pending cell. threads = 1, so progress arrives on this thread.
+  {
+    CampaignSpec spec = worker_spec(fresh_dir("cancel"), 0, 2, "wA", 60000);
+    const std::atomic<bool> cancel{true};
+    spec.cancel = &cancel;
+    std::vector<CampaignProgress> seen;
+    spec.on_progress = [&](const CampaignProgress& p) { seen.push_back(p); };
+    const CampaignResult r = run_campaign(f.net, f.data, spec);
+    EXPECT_EQ(r.stats.inferences, 0);
+    EXPECT_EQ(r.stats.dist_cells_executed, 0);
+    EXPECT_EQ(r.stats.dist_buckets_claimed, 0);
+    EXPECT_EQ(r.stats.cells_deferred, cells);
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(seen.front().cells_total, cells);
+    EXPECT_EQ(seen.back().cells_done, 0);
+  }
+
+  // Budgeted: exactly `budget` cells run and the rest are deferred; after
+  // the merge, a resume finishes the grid bit-identically.
+  const std::string dir = fresh_dir("budget");
+  const std::int64_t budget = cells / 3;
+  CampaignSpec spec = worker_spec(dir, 0, 2, "wA", 60000);
+  spec.store.cell_budget = budget;
+  std::vector<CampaignProgress> seen;
+  spec.on_progress = [&](const CampaignProgress& p) { seen.push_back(p); };
+  const CampaignResult partial = run_campaign(f.net, f.data, spec);
+  EXPECT_EQ(partial.stats.dist_cells_executed, budget);
+  EXPECT_EQ(partial.stats.journal_cells_written, budget);
+  EXPECT_EQ(partial.stats.inferences, budget * plain.points[0].trials);
+  EXPECT_EQ(partial.stats.cells_deferred, cells - budget);
+  ASSERT_FALSE(seen.empty());
+  EXPECT_EQ(seen.front().cells_total, budget);
+  EXPECT_EQ(seen.back().cells_done, budget);
+  EXPECT_EQ(seen.back().cells_deferred, cells - budget);
+  EXPECT_EQ(merge_campaign_segments(dir).cells_merged, budget);
+
+  spec.store.cell_budget = 0;
+  spec.on_progress = nullptr;
+  const CampaignResult resumed = run_campaign(f.net, f.data, spec);
+  expect_same_results(reference, resumed);
+  EXPECT_EQ(resumed.stats.journal_cells_loaded, budget);
+  EXPECT_EQ(resumed.stats.dist_cells_executed, cells - budget);
+  EXPECT_EQ(resumed.stats.cells_deferred, 0);
 }
 
 }  // namespace
