@@ -8,8 +8,9 @@
 // cached incremental replay trial next to a scratch forward.
 //
 // On top of the google-benchmark table, main() hand-times the SIMD
-// dispatch levels (scalar vs AVX2 vs AVX-512 GEMM) and writes the numbers
-// to BENCH_kernels.json for the CI perf trajectory. Each timed comparison
+// dispatch levels (scalar vs AVX2 vs AVX-512BW pair-MAC GEMM, on a wide, a
+// narrow and a gathered shape) and writes the numbers to
+// BENCH_kernels.json for the CI perf trajectory. Each timed comparison
 // doubles as a bit-identity oracle — the process exits non-zero if any ISA
 // level diverges from the reference output.
 #include <benchmark/benchmark.h>
@@ -231,8 +232,11 @@ double time_per_call(Fn&& fn, double min_s = 0.2) {
   }
 }
 
-// Per-ISA GEMM GMAC/s, with every compared output checked bit-identical to
-// the reference. Returns false
+// Per-ISA GMAC/s of the int16 pair-MAC GEMM, with every compared output
+// checked bit-identical to the reference. Three shapes: a wide VGG-ish
+// layer (64c 16x16 3x3), a narrow deep-layer one (128c 2x2, 4 columns
+// padded to the 16-column granule), and a gathered recompute of 9
+// scattered positions of the wide layer (the replay path). Returns false
 // (and the process exits 1) on any divergence — the perf file must never
 // report throughput of a kernel that computes different bits.
 bool write_bench_kernels_json() {
@@ -241,32 +245,64 @@ bool write_bench_kernels_json() {
   const GemmIsa best = best_supported_gemm_isa();
   json.field("best_isa", std::string(gemm_isa_name(best)));
 
-  // GEMM dispatch levels on the VGG-ish shape (64c 16x16 3x3).
-  const Problem p = make_problem(64, 16, 3);
-  const TensorI32 reference = direct_forward_reference(p.desc, p.data());
-  const double gmacs_scale =
-      static_cast<double>(p.desc.macs()) / 1e9;
+  const Problem wide = make_problem(64, 16, 3);
+  const Problem narrow = make_problem(128, 2, 3);
+  const TensorI32 wide_ref = direct_forward_reference(wide.desc, wide.data());
+  const TensorI32 narrow_ref =
+      direct_forward_reference(narrow.desc, narrow.data());
+  std::vector<std::int64_t> gathered;
+  for (std::int64_t e = 5; e < 256; e += 29) gathered.push_back(e);
+  const auto gmacs = [](const ConvDesc& desc, std::int64_t positions,
+                        double seconds) {
+    const std::int64_t window = desc.in_c * desc.kh * desc.kw;
+    return static_cast<double>(desc.out_c * positions * window) / 1e9 /
+           seconds;
+  };
   const GemmIsa isas[] = {GemmIsa::kScalar, GemmIsa::kAvx2,
                           GemmIsa::kAvx512};
   for (const GemmIsa isa : isas) {
-    const std::string key =
-        std::string("gemm_") + gemm_isa_name(isa) + "_gmacs";
+    const std::string key = std::string("gemm_") + gemm_isa_name(isa);
     if (isa > best) {
-      json.field(key, 0.0);
+      json.field(key + "_gmacs", 0.0);
+      json.field(key + "_narrow_gmacs", 0.0);
+      json.field(key + "_gathered_gmacs", 0.0);
       continue;
     }
     set_gemm_isa(isa);
-    if (!(direct_forward_gemm(p.desc, p.data()) == reference)) {
+    TensorI32 scattered = wide_ref;
+    for (auto& v : scattered.flat()) v = -7;
+    direct_recompute_positions(wide.desc, wide.data(), gathered, scattered);
+    bool gathered_ok = true;
+    for (std::int64_t oc = 0; oc < wide.desc.out_c; ++oc) {
+      for (const std::int64_t e : gathered) {
+        gathered_ok &= scattered[oc * 256 + e] == wide_ref[oc * 256 + e];
+      }
+    }
+    if (!(direct_forward_gemm(wide.desc, wide.data()) == wide_ref) ||
+        !(direct_forward_gemm(narrow.desc, narrow.data()) == narrow_ref) ||
+        !gathered_ok) {
       std::fprintf(stderr,
                    "FAIL: %s GEMM diverges from instrumented reference\n",
                    gemm_isa_name(isa));
       ok = false;
     }
-    json.field(key, gmacs_scale /
-                        time_per_call([&] {
-                          benchmark::DoNotOptimize(
-                              direct_forward_gemm(p.desc, p.data()));
-                        }));
+    json.field(key + "_gmacs",
+               gmacs(wide.desc, 256, time_per_call([&] {
+                       benchmark::DoNotOptimize(
+                           direct_forward_gemm(wide.desc, wide.data()));
+                     })));
+    json.field(key + "_narrow_gmacs",
+               gmacs(narrow.desc, 4, time_per_call([&] {
+                       benchmark::DoNotOptimize(
+                           direct_forward_gemm(narrow.desc, narrow.data()));
+                     })));
+    json.field(key + "_gathered_gmacs",
+               gmacs(wide.desc, static_cast<std::int64_t>(gathered.size()),
+                     time_per_call([&] {
+                       direct_recompute_positions(wide.desc, wide.data(),
+                                                  gathered, scattered);
+                       benchmark::DoNotOptimize(scattered);
+                     })));
   }
   set_gemm_isa(best);
 

@@ -55,6 +55,21 @@ struct ConvData {
   // across forwards; when null the engine transforms on the fly.
   const std::vector<std::int64_t>* wg_bank_f2 = nullptr;
   const std::vector<std::int64_t>* wg_bank_f4 = nullptr;
+  // Optional precomputed weight operand of the direct GEMM
+  // (pack_pair_weights output); when null the GEMM packs on the fly.
+  const std::vector<std::int16_t>* w_pairs = nullptr;
+
+  // This view with `w` as its weights and every bank derived from the old
+  // weights dropped, so no engine reads a transform of weights it was not
+  // given. The one way to substitute weights (fault models, checksums).
+  ConvData with_weights(const TensorI32& w) const {
+    ConvData d = *this;
+    d.weights = &w;
+    d.wg_bank_f2 = nullptr;
+    d.wg_bank_f4 = nullptr;
+    d.w_pairs = nullptr;
+    return d;
+  }
 };
 
 }  // namespace winofault

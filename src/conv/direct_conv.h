@@ -9,6 +9,9 @@
 // they are part of the op space.
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "conv/conv_desc.h"
 #include "conv/engine.h"
 
@@ -25,13 +28,30 @@ class DirectConvEngine final : public ConvEngine {
                     TensorI32& out) const override;
 };
 
-// Fault-free fast path: im2col + blocked GEMM with exact int64 accumulation.
-// Integer addition is order-independent, so the result is bit-identical to
-// the instrumented reference loop for every shape (validated in
-// golden_cache_test). DirectConvEngine::forward routes here; the
-// instrumented direct_output_acc below stays the fault-replay and
-// exactness reference.
+// Fault-free fast path: im2col into packed int16 pair planes + the blocked
+// pair-MAC GEMM (conv/gemm_kernel.h), exact in int64. Integer addition is
+// order-independent, so the result is bit-identical to the instrumented
+// reference loop for every shape (validated in golden_cache_test and
+// simd_kernel_test). DirectConvEngine::forward and every base recompute of
+// a layer route here; the instrumented direct_output_acc below stays the
+// fault-replay and exactness reference. Uses data.w_pairs when set, else
+// packs the weights for this call.
 TensorI32 direct_forward_gemm(const ConvDesc& desc, const ConvData& data);
+
+// The same GEMM over gathered im2col columns: recomputes every output
+// channel at the listed output positions (flat oy * out_w + ox, each at
+// most once) and writes the requantized values into `out`, which keeps
+// every other element. Cost scales with positions.size().
+void direct_recompute_positions(const ConvDesc& desc, const ConvData& data,
+                                std::span<const std::int64_t> positions,
+                                TensorI32& out);
+
+// The weight operand of the pair-MAC kernel: int16 rows of the window
+// zero-padded to an even length, out_c zero-padded to a multiple of
+// kPairRows. Layers cache it in ConvData::w_pairs. Every weight must lie in
+// the int16 range.
+std::vector<std::int16_t> pack_pair_weights(const ConvDesc& desc,
+                                            const TensorI32& weights);
 
 // The pre-GEMM reference loop (one direct_output_acc per output element);
 // kept for exactness tests and as a micro-benchmark baseline.

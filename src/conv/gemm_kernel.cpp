@@ -1,6 +1,8 @@
 #include "conv/gemm_kernel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 
 #include "common/env.h"
@@ -16,207 +18,186 @@
 namespace winofault {
 namespace {
 
-// Scalar kernel: the shape autovectorizers handle and the tail path of the
-// vector kernels. The w == 0 skip only elides additions of zero, so it
-// cannot change any accumulator bit.
-void kernel_scalar(std::int64_t* acc, std::int64_t acc_stride, int rows,
-                   std::int64_t eb, const std::int32_t* col,
-                   std::int64_t col_stride, const std::int32_t* w,
-                   std::int64_t w_stride, std::int64_t window) {
-  for (std::int64_t r = 0; r < window; ++r) {
-    const std::int32_t* col_row = col + r * col_stride;
-    for (int j = 0; j < rows; ++j) {
-      const std::int64_t wv = w[j * w_stride + r];
-      if (wv == 0) continue;
-      std::int64_t* a = acc + j * acc_stride;
-      for (std::int64_t e = 0; e < eb; ++e) a[e] += wv * col_row[e];
+// Scalar kernel: reads the packed layout and sums exactly in int64, so its
+// bits match the vector levels by associativity alone. The level of
+// WINOFAULT_ISA=scalar and of non-x86 builds. Rejoins each pair's two
+// activation rows once per pair-step, in blocks of columns, so the row
+// loops stay contiguous.
+void kernel_scalar(std::int64_t* acc, std::int64_t acc_stride,
+                   std::int64_t cols, const std::int16_t* lo,
+                   const std::int16_t* hi, std::int64_t plane_stride,
+                   const std::int16_t* w, std::int64_t w_stride,
+                   std::int64_t pairs) {
+  constexpr std::int64_t kBlock = 64;
+  std::int32_t a0[kBlock], a1[kBlock];
+  for (std::int64_t e0 = 0; e0 < cols; e0 += kBlock) {
+    const std::int64_t n = std::min(kBlock, cols - e0);
+    for (std::int64_t p = 0; p < pairs; ++p) {
+      const std::int16_t* l = lo + p * plane_stride + 2 * e0;
+      const std::int16_t* h = hi + p * plane_stride + 2 * e0;
+      for (std::int64_t e = 0; e < n; ++e) {
+        a0[e] = 256 * h[2 * e] + l[2 * e];
+        a1[e] = 256 * h[2 * e + 1] + l[2 * e + 1];
+      }
+      for (int j = 0; j < kPairRows; ++j) {
+        const std::int64_t w0 = w[j * w_stride + 2 * p];
+        const std::int64_t w1 = w[j * w_stride + 2 * p + 1];
+        std::int64_t* a = acc + j * acc_stride + e0;
+        for (std::int64_t e = 0; e < n; ++e) a[e] += w0 * a0[e] + w1 * a1[e];
+      }
     }
   }
 }
 
 #if WINOFAULT_X86_SIMD
 
-// Exactness of the widening multiply: _mm256_cvtepi32_epi64 /
-// _mm512_cvtepi32_epi64 sign-extend each int32 lane to int64 (the low 32
-// bits keep the original two's-complement pattern), and *_mul_epi32
-// multiplies the sign-extended LOW 32 bits of each 64-bit lane into an
-// exact int64 product — precisely w * col with no truncation.
+// One register tile: kPairRows rows x NV vectors of columns. madd_epi16
+// multiplies each int16 pair of an activation vector with the broadcast
+// weight pair and adds the two exact products into one int32 lane (one
+// column). The lo and hi planes keep separate int32 sums, which widen into
+// the int64 accumulators in memory every kPairChunk pair-steps (bounds in
+// gemm_kernel.h).
+template <int NV>
+__attribute__((target("avx2"))) void tile_avx2(
+    std::int64_t* acc, std::int64_t acc_stride, const std::int16_t* lo,
+    const std::int16_t* hi, std::int64_t plane_stride, const std::int16_t* w,
+    std::int64_t w_stride, std::int64_t pairs) {
+  for (std::int64_t p0 = 0; p0 < pairs; p0 += kPairChunk) {
+    const std::int64_t p1 = std::min(p0 + kPairChunk, pairs);
+    __m256i slo[kPairRows][NV], shi[kPairRows][NV];
+    for (int j = 0; j < kPairRows; ++j) {
+      for (int v = 0; v < NV; ++v) {
+        slo[j][v] = _mm256_setzero_si256();
+        shi[j][v] = _mm256_setzero_si256();
+      }
+    }
+    for (std::int64_t p = p0; p < p1; ++p) {
+      __m256i l[NV], h[NV];
+      for (int v = 0; v < NV; ++v) {
+        l[v] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(lo + p * plane_stride + 16 * v));
+        h[v] = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(hi + p * plane_stride + 16 * v));
+      }
+      for (int j = 0; j < kPairRows; ++j) {
+        std::int32_t pair;
+        std::memcpy(&pair, w + j * w_stride + 2 * p, sizeof pair);
+        const __m256i wv = _mm256_set1_epi32(pair);
+        for (int v = 0; v < NV; ++v) {
+          slo[j][v] = _mm256_add_epi32(slo[j][v], _mm256_madd_epi16(l[v], wv));
+          shi[j][v] = _mm256_add_epi32(shi[j][v], _mm256_madd_epi16(h[v], wv));
+        }
+      }
+    }
+    for (int j = 0; j < kPairRows; ++j) {
+      for (int v = 0; v < NV; ++v) {
+        std::int64_t* a = acc + j * acc_stride + 8 * v;
+        for (int half = 0; half < 2; ++half) {
+          const __m128i l32 = half == 0
+                                  ? _mm256_castsi256_si128(slo[j][v])
+                                  : _mm256_extracti128_si256(slo[j][v], 1);
+          const __m128i h32 = half == 0
+                                  ? _mm256_castsi256_si128(shi[j][v])
+                                  : _mm256_extracti128_si256(shi[j][v], 1);
+          const __m256i sum = _mm256_add_epi64(
+              _mm256_cvtepi32_epi64(l32),
+              _mm256_slli_epi64(_mm256_cvtepi32_epi64(h32), 8));
+          __m256i* dst = reinterpret_cast<__m256i*>(a + 4 * half);
+          _mm256_storeu_si256(dst,
+                              _mm256_add_epi64(_mm256_loadu_si256(dst), sum));
+        }
+      }
+    }
+  }
+}
 
-// AVX2 tile: 4 output rows x 8 columns of int64 accumulators live in 8 ymm
-// registers across the whole window loop, so the inner loop streams only
-// the column matrix.
+// AVX2: 4 rows x 8 columns per tile (8 int32 sums, within the 16 ymm
+// registers together with the two plane loads and the weight broadcast).
 __attribute__((target("avx2"))) void kernel_avx2(
-    std::int64_t* acc, std::int64_t acc_stride, int rows, std::int64_t eb,
-    const std::int32_t* col, std::int64_t col_stride, const std::int32_t* w,
-    std::int64_t w_stride, std::int64_t window) {
-  std::int64_t e0 = 0;
-  if (rows == 4) {
-    for (; e0 + 8 <= eb; e0 += 8) {
-      __m256i a[4][2];
-      for (int j = 0; j < 4; ++j) {
-        std::int64_t* row = acc + j * acc_stride + e0;
-        a[j][0] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
-        a[j][1] =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + 4));
-      }
-      for (std::int64_t r = 0; r < window; ++r) {
-        const std::int32_t* col_row = col + r * col_stride + e0;
-        const __m256i c0 = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(col_row)));
-        const __m256i c1 = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(col_row + 4)));
-        for (int j = 0; j < 4; ++j) {
-          const __m256i wv = _mm256_set1_epi64x(w[j * w_stride + r]);
-          a[j][0] = _mm256_add_epi64(a[j][0], _mm256_mul_epi32(c0, wv));
-          a[j][1] = _mm256_add_epi64(a[j][1], _mm256_mul_epi32(c1, wv));
-        }
-      }
-      for (int j = 0; j < 4; ++j) {
-        std::int64_t* row = acc + j * acc_stride + e0;
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row), a[j][0]);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + 4), a[j][1]);
-      }
-    }
-  }
-  // Row groups under 4 and the sub-8 column tail: scalar, identical bits.
-  if (e0 < eb) {
-    kernel_scalar(acc + e0, acc_stride, rows, eb - e0, col + e0, col_stride,
-                  w, w_stride, window);
+    std::int64_t* acc, std::int64_t acc_stride, std::int64_t cols,
+    const std::int16_t* lo, const std::int16_t* hi, std::int64_t plane_stride,
+    const std::int16_t* w, std::int64_t w_stride, std::int64_t pairs) {
+  for (std::int64_t e0 = 0; e0 < cols; e0 += 8) {
+    tile_avx2<1>(acc + e0, acc_stride, lo + 2 * e0, hi + 2 * e0,
+                 plane_stride, w, w_stride, pairs);
   }
 }
 
-// AVX-512 tile: 4 rows x 16 columns in 8 zmm accumulator registers.
-__attribute__((target("avx512f"))) void kernel_avx512(
-    std::int64_t* acc, std::int64_t acc_stride, int rows, std::int64_t eb,
-    const std::int32_t* col, std::int64_t col_stride, const std::int32_t* w,
-    std::int64_t w_stride, std::int64_t window) {
-  std::int64_t e0 = 0;
-  if (rows == 4) {
-    for (; e0 + 16 <= eb; e0 += 16) {
-      __m512i a[4][2];
-      for (int j = 0; j < 4; ++j) {
-        std::int64_t* row = acc + j * acc_stride + e0;
-        a[j][0] = _mm512_loadu_si512(row);
-        a[j][1] = _mm512_loadu_si512(row + 8);
+template <int NV>
+__attribute__((target("avx512f,avx512bw"))) void tile_avx512(
+    std::int64_t* acc, std::int64_t acc_stride, const std::int16_t* lo,
+    const std::int16_t* hi, std::int64_t plane_stride, const std::int16_t* w,
+    std::int64_t w_stride, std::int64_t pairs) {
+  for (std::int64_t p0 = 0; p0 < pairs; p0 += kPairChunk) {
+    const std::int64_t p1 = std::min(p0 + kPairChunk, pairs);
+    __m512i slo[kPairRows][NV], shi[kPairRows][NV];
+    for (int j = 0; j < kPairRows; ++j) {
+      for (int v = 0; v < NV; ++v) {
+        slo[j][v] = _mm512_setzero_si512();
+        shi[j][v] = _mm512_setzero_si512();
       }
-      for (std::int64_t r = 0; r < window; ++r) {
-        const std::int32_t* col_row = col + r * col_stride + e0;
-        const __m512i c0 = _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col_row)));
-        const __m512i c1 = _mm512_cvtepi32_epi64(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(col_row + 8)));
-        for (int j = 0; j < 4; ++j) {
-          const __m512i wv = _mm512_set1_epi64(w[j * w_stride + r]);
-          a[j][0] = _mm512_add_epi64(a[j][0], _mm512_mul_epi32(c0, wv));
-          a[j][1] = _mm512_add_epi64(a[j][1], _mm512_mul_epi32(c1, wv));
+    }
+    for (std::int64_t p = p0; p < p1; ++p) {
+      __m512i l[NV], h[NV];
+      for (int v = 0; v < NV; ++v) {
+        l[v] = _mm512_loadu_si512(lo + p * plane_stride + 32 * v);
+        h[v] = _mm512_loadu_si512(hi + p * plane_stride + 32 * v);
+      }
+      for (int j = 0; j < kPairRows; ++j) {
+        std::int32_t pair;
+        std::memcpy(&pair, w + j * w_stride + 2 * p, sizeof pair);
+        const __m512i wv = _mm512_set1_epi32(pair);
+        for (int v = 0; v < NV; ++v) {
+          slo[j][v] = _mm512_add_epi32(slo[j][v], _mm512_madd_epi16(l[v], wv));
+          shi[j][v] = _mm512_add_epi32(shi[j][v], _mm512_madd_epi16(h[v], wv));
         }
       }
-      for (int j = 0; j < 4; ++j) {
-        std::int64_t* row = acc + j * acc_stride + e0;
-        _mm512_storeu_si512(row, a[j][0]);
-        _mm512_storeu_si512(row + 8, a[j][1]);
+    }
+    for (int j = 0; j < kPairRows; ++j) {
+      for (int v = 0; v < NV; ++v) {
+        std::int64_t* a = acc + j * acc_stride + 16 * v;
+        for (int half = 0; half < 2; ++half) {
+          const __m256i l32 =
+              half == 0 ? _mm512_castsi512_si256(slo[j][v])
+                        : _mm512_extracti64x4_epi64(slo[j][v], 1);
+          const __m256i h32 =
+              half == 0 ? _mm512_castsi512_si256(shi[j][v])
+                        : _mm512_extracti64x4_epi64(shi[j][v], 1);
+          const __m512i sum = _mm512_add_epi64(
+              _mm512_cvtepi32_epi64(l32),
+              _mm512_slli_epi64(_mm512_cvtepi32_epi64(h32), 8));
+          std::int64_t* dst = a + 8 * half;
+          _mm512_storeu_si512(dst,
+                              _mm512_add_epi64(_mm512_loadu_si512(dst), sum));
+        }
       }
     }
   }
-  if (e0 < eb) {
-    kernel_scalar(acc + e0, acc_stride, rows, eb - e0, col + e0, col_stride,
-                  w, w_stride, window);
+}
+
+// AVX-512BW: 4 rows x 32 columns per tile (16 int32 sums), then one
+// 16-column tile for an odd granule.
+__attribute__((target("avx512f,avx512bw"))) void kernel_avx512(
+    std::int64_t* acc, std::int64_t acc_stride, std::int64_t cols,
+    const std::int16_t* lo, const std::int16_t* hi, std::int64_t plane_stride,
+    const std::int16_t* w, std::int64_t w_stride, std::int64_t pairs) {
+  std::int64_t e0 = 0;
+  for (; e0 + 32 <= cols; e0 += 32) {
+    tile_avx512<2>(acc + e0, acc_stride, lo + 2 * e0, hi + 2 * e0,
+                   plane_stride, w, w_stride, pairs);
+  }
+  if (e0 < cols) {
+    tile_avx512<1>(acc + e0, acc_stride, lo + 2 * e0, hi + 2 * e0,
+                   plane_stride, w, w_stride, pairs);
   }
 }
 
 #endif  // WINOFAULT_X86_SIMD
 
-// ---- Narrow-output (dot) variants ----
-// When eb is below the vector width the tile kernels above degenerate to
-// scalar, which is exactly the shape of a deep conv layer (2x2 or 1x1
-// spatial extent, window in the thousands). These variants vectorize the
-// reduction over the window axis instead, reading the TRANSPOSED column
-// matrix (colT[e * window + r] == col[r * col_stride + e], both operands
-// contiguous in r). int64 addition is associative and commutative and every
-// term is exact, so the lane-strided summation order still produces the
-// same bits as the increasing-r order.
-
-void kernel_dot_scalar(std::int64_t* acc, std::int64_t acc_stride, int rows,
-                       std::int64_t eb, const std::int32_t* colT,
-                       const std::int32_t* w, std::int64_t w_stride,
-                       std::int64_t window) {
-  for (std::int64_t e = 0; e < eb; ++e) {
-    const std::int32_t* ce = colT + e * window;
-    for (int j = 0; j < rows; ++j) {
-      const std::int32_t* wj = w + j * w_stride;
-      std::int64_t s = 0;
-      for (std::int64_t r = 0; r < window; ++r) {
-        s += static_cast<std::int64_t>(wj[r]) * ce[r];
-      }
-      acc[j * acc_stride + e] += s;
-    }
-  }
-}
-
-#if WINOFAULT_X86_SIMD
-
-__attribute__((target("avx2"))) void kernel_dot_avx2(
-    std::int64_t* acc, std::int64_t acc_stride, int rows, std::int64_t eb,
-    const std::int32_t* colT, const std::int32_t* w, std::int64_t w_stride,
-    std::int64_t window) {
-  for (std::int64_t e = 0; e < eb; ++e) {
-    const std::int32_t* ce = colT + e * window;
-    for (int j = 0; j < rows; ++j) {
-      const std::int32_t* wj = w + j * w_stride;
-      __m256i vsum = _mm256_setzero_si256();
-      std::int64_t r = 0;
-      for (; r + 4 <= window; r += 4) {
-        const __m256i vc = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ce + r)));
-        const __m256i vw = _mm256_cvtepi32_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wj + r)));
-        vsum = _mm256_add_epi64(vsum, _mm256_mul_epi32(vc, vw));
-      }
-      const __m128i pair = _mm_add_epi64(_mm256_castsi256_si128(vsum),
-                                         _mm256_extracti128_si256(vsum, 1));
-      std::int64_t s = _mm_cvtsi128_si64(pair) + _mm_extract_epi64(pair, 1);
-      for (; r < window; ++r) {
-        s += static_cast<std::int64_t>(wj[r]) * ce[r];
-      }
-      acc[j * acc_stride + e] += s;
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void kernel_dot_avx512(
-    std::int64_t* acc, std::int64_t acc_stride, int rows, std::int64_t eb,
-    const std::int32_t* colT, const std::int32_t* w, std::int64_t w_stride,
-    std::int64_t window) {
-  for (std::int64_t e = 0; e < eb; ++e) {
-    const std::int32_t* ce = colT + e * window;
-    for (int j = 0; j < rows; ++j) {
-      const std::int32_t* wj = w + j * w_stride;
-      __m512i vsum = _mm512_setzero_si512();
-      std::int64_t r = 0;
-      for (; r + 8 <= window; r += 8) {
-        const __m512i vc = _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ce + r)));
-        const __m512i vw = _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(wj + r)));
-        vsum = _mm512_add_epi64(vsum, _mm512_mul_epi32(vc, vw));
-      }
-      std::int64_t s = _mm512_reduce_add_epi64(vsum);
-      for (; r < window; ++r) {
-        s += static_cast<std::int64_t>(wj[r]) * ce[r];
-      }
-      acc[j * acc_stride + e] += s;
-    }
-  }
-}
-
-#endif  // WINOFAULT_X86_SIMD
-
-using KernelFn = void (*)(std::int64_t*, std::int64_t, int, std::int64_t,
-                          const std::int32_t*, std::int64_t,
-                          const std::int32_t*, std::int64_t, std::int64_t);
-using DotKernelFn = void (*)(std::int64_t*, std::int64_t, int, std::int64_t,
-                             const std::int32_t*, const std::int32_t*,
-                             std::int64_t, std::int64_t);
+using KernelFn = void (*)(std::int64_t*, std::int64_t, std::int64_t,
+                          const std::int16_t*, const std::int16_t*,
+                          std::int64_t, const std::int16_t*, std::int64_t,
+                          std::int64_t);
 
 KernelFn kernel_for(GemmIsa isa) {
 #if WINOFAULT_X86_SIMD
@@ -227,17 +208,7 @@ KernelFn kernel_for(GemmIsa isa) {
   return kernel_scalar;
 }
 
-DotKernelFn dot_kernel_for(GemmIsa isa) {
-#if WINOFAULT_X86_SIMD
-  if (isa == GemmIsa::kAvx512) return kernel_dot_avx512;
-  if (isa == GemmIsa::kAvx2) return kernel_dot_avx2;
-#endif
-  (void)isa;
-  return kernel_dot_scalar;
-}
-
 std::atomic<KernelFn> g_kernel{nullptr};
-std::atomic<DotKernelFn> g_dot_kernel{nullptr};
 std::atomic<int> g_isa{static_cast<int>(GemmIsa::kScalar)};
 
 GemmIsa clamp_to_supported(GemmIsa requested) {
@@ -251,7 +222,6 @@ GemmIsa clamp_to_supported(GemmIsa requested) {
 
 void install(GemmIsa isa) {
   g_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
-  g_dot_kernel.store(dot_kernel_for(isa), std::memory_order_release);
   g_kernel.store(kernel_for(isa), std::memory_order_release);
 }
 
@@ -290,7 +260,10 @@ const char* gemm_isa_name(GemmIsa isa) {
 
 GemmIsa best_supported_gemm_isa() {
 #if WINOFAULT_X86_SIMD
-  if (__builtin_cpu_supports("avx512f")) return GemmIsa::kAvx512;
+  if (__builtin_cpu_supports("avx512f") &&
+      __builtin_cpu_supports("avx512bw")) {
+    return GemmIsa::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return GemmIsa::kAvx2;
 #endif
   return GemmIsa::kScalar;
@@ -308,28 +281,17 @@ GemmIsa set_gemm_isa(GemmIsa isa) {
   return clamped;
 }
 
-void gemm_microkernel(std::int64_t* acc, std::int64_t acc_stride, int rows,
-                      std::int64_t eb, const std::int32_t* col,
-                      std::int64_t col_stride, const std::int32_t* w,
-                      std::int64_t w_stride, std::int64_t window) {
+void gemm_pair_microkernel(std::int64_t* acc, std::int64_t acc_stride,
+                           std::int64_t cols, const std::int16_t* lo,
+                           const std::int16_t* hi, std::int64_t plane_stride,
+                           const std::int16_t* w, std::int64_t w_stride,
+                           std::int64_t pairs) {
   KernelFn fn = g_kernel.load(std::memory_order_acquire);
   if (fn == nullptr) {
     resolve_once();
     fn = g_kernel.load(std::memory_order_acquire);
   }
-  fn(acc, acc_stride, rows, eb, col, col_stride, w, w_stride, window);
-}
-
-void gemm_microkernel_dot(std::int64_t* acc, std::int64_t acc_stride,
-                          int rows, std::int64_t eb,
-                          const std::int32_t* colT, const std::int32_t* w,
-                          std::int64_t w_stride, std::int64_t window) {
-  DotKernelFn fn = g_dot_kernel.load(std::memory_order_acquire);
-  if (fn == nullptr) {
-    resolve_once();
-    fn = g_dot_kernel.load(std::memory_order_acquire);
-  }
-  fn(acc, acc_stride, rows, eb, colT, w, w_stride, window);
+  fn(acc, acc_stride, cols, lo, hi, plane_stride, w, w_stride, pairs);
 }
 
 }  // namespace winofault

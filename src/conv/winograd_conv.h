@@ -69,6 +69,7 @@ class WinogradConvEngine final : public ConvEngine {
   std::vector<std::int64_t> transform_filters(const ConvDesc& desc,
                                               const ConvData& data) const;
 
+ private:
   // Returns the filter bank to use for this call: the caller-cached bank
   // from ConvData when present, otherwise a fresh transform stored in
   // `local` (which must outlive the returned pointer).
@@ -76,7 +77,6 @@ class WinogradConvEngine final : public ConvEngine {
       const ConvDesc& desc, const ConvData& data,
       std::vector<std::int64_t>& local) const;
 
- private:
   const WinogradPlan& plan_;
 };
 

@@ -718,7 +718,10 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
                              const std::function<void()>& heartbeat) {
     parallel_for(static_cast<std::int64_t>(n), threads, [&](std::int64_t k) {
       if (is_cancelled()) {
-        if (tally) cancelled.fetch_add(1, std::memory_order_relaxed);
+        if (tally) {
+          cancelled.fetch_add(1, std::memory_order_relaxed);
+          emit_progress();
+        }
         return;
       }
       if (heartbeat) heartbeat();

@@ -35,8 +35,7 @@ std::vector<std::int64_t> ConvAbft::detect(const ConvDesc& desc,
   ConvDesc csum_desc = desc;
   csum_desc.out_c = 1;
   csum_desc.has_bias = false;
-  ConvData csum_data = data;
-  csum_data.weights = &csum_w;
+  ConvData csum_data = data.with_weights(csum_w);
   csum_data.bias = nullptr;
 
   std::int64_t bias_sum = 0;

@@ -41,8 +41,8 @@ void FaultSession::apply(int prot_index, const ConvEngine& engine,
     // Transient weight-memory upsets: corrupt a copy of the quantized
     // weights, then recompute this layer densely. The direct GEMM is the
     // policy-independent reference (fault-free outputs are bit-identical
-    // across engines for ANY weights); the cached Winograd filter banks
-    // transform the CLEAN weights, so they must not be reused here.
+    // across engines for ANY weights); the cached banks are derived from
+    // the CLEAN weights, so with_weights drops them.
     const int width = bit_width(data.dtype);
     std::vector<WeightFault> faults;
     total_flips_ += sample_cell_faults(rng_, data.weights->numel(), width,
@@ -54,11 +54,7 @@ void FaultSession::apply(int prot_index, const ConvEngine& engine,
           apply_fault_kind(config_.model.kind, corrupted[f.index], f.bit,
                            width));
     }
-    ConvData wdata = data;
-    wdata.weights = &corrupted;
-    wdata.wg_bank_f2 = nullptr;
-    wdata.wg_bank_f4 = nullptr;
-    out = direct_forward_gemm(desc, wdata);
+    out = direct_forward_gemm(desc, data.with_weights(corrupted));
     return;
   }
 

@@ -1,8 +1,9 @@
 // Quantized 3x3/1x1/5x5 convolution layer: the protectable unit of the
 // fault study. Holds float master weights quantized at construction; the
 // engine (direct vs Winograd) is chosen per inference by the ConvPolicy.
+// The direct GEMM's packed int16 weights are built at construction;
 // Winograd filter banks (the offline transform of the static weights) are
-// computed once on first use and cached across forwards.
+// computed once on first use. Both are cached across forwards.
 #pragma once
 
 #include <mutex>
@@ -38,7 +39,7 @@ class ConvLayer final : public Layer {
   // Transient weight-memory replay: dense direct GEMM on a corrupted copy
   // of the quantized weights. Policy-independent by the core invariant
   // (fault-free outputs are bit-identical across engines for any weights);
-  // the cached Winograd banks transform the CLEAN weights and are bypassed.
+  // the cached banks are derived from the CLEAN weights and are bypassed.
   TensorI32 forward_weight_faulted(
       std::span<const NodeOutput* const> ins, const QuantParams& out_quant,
       FaultModelKind kind,
@@ -48,9 +49,9 @@ class ConvLayer final : public Layer {
   // output for the *golden* input, and `in_changed` lists the flat indices
   // where the current input differs from the golden input. Outputs whose
   // receptive fields touch no changed element keep their cached values;
-  // only the affected region (direct: output positions, Winograd: tile
-  // columns) is recomputed, then `sites` are applied on top. Falls back to
-  // a dense recompute when the affected region is most of the layer.
+  // the affected output positions are recomputed by the direct GEMM over
+  // their gathered im2col columns (for every policy, at any marked
+  // fraction), then `sites` are applied on top in the policy's domain.
   TensorI32 replay_delta(const NodeOutput& in, const QuantParams& out_quant,
                          ConvPolicy policy, std::span<const FaultSite> sites,
                          const TensorI32& golden,
@@ -79,6 +80,8 @@ class ConvLayer final : public Layer {
   QuantParams w_quant_;
   std::vector<float> bias_real_;
   DType dtype_;
+
+  std::vector<std::int16_t> w_pairs_;  // pack_pair_weights(weights_q_)
 
   mutable std::once_flag wg_once_[2];
   mutable std::vector<std::int64_t> wg_bank_[2];  // [0]: m=2, [1]: m=4

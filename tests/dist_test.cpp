@@ -646,6 +646,26 @@ TEST(Dist, ShardHonoursCancelBudgetAndProgress) {
     ASSERT_FALSE(seen.empty());
     EXPECT_EQ(seen.front().cells_total, cells);
     EXPECT_EQ(seen.back().cells_done, 0);
+    // Cancel-skipped cells reach the streamed progress too.
+    EXPECT_EQ(seen.back().cells_deferred, r.stats.cells_deferred);
+  }
+
+  // The same for a local run cancelled midway: the progress callback
+  // raises the flag after five executed cells.
+  {
+    CampaignSpec spec = plain;
+    std::atomic<bool> cancel{false};
+    spec.cancel = &cancel;
+    std::vector<CampaignProgress> seen;
+    spec.on_progress = [&](const CampaignProgress& p) {
+      seen.push_back(p);
+      if (p.cells_done >= 5) cancel.store(true);
+    };
+    const CampaignResult r = run_campaign(f.net, f.data, spec);
+    EXPECT_EQ(r.stats.cells_deferred, cells - 5);
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(seen.back().cells_done, 5);
+    EXPECT_EQ(seen.back().cells_deferred, r.stats.cells_deferred);
   }
 
   // Budgeted: exactly `budget` cells run and the rest are deferred; after

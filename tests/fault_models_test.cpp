@@ -209,6 +209,44 @@ TEST(FaultModelCampaignTest, ReplayMatchesScratchForEveryModel) {
   }
 }
 
+// (c) once every derived weight bank exists: each layer packs its int16
+// GEMM weights at construction and a clean forward under each policy
+// builds its Winograd bank. A weight fault that read a bank of the clean
+// weights would leave the layer's output clean, so the faulted forward
+// must move the logits, and replay must still match scratch.
+TEST(FaultModelCampaignTest, WeightModelsMatchScratchAfterBanksAreBuilt) {
+  const Fixture f = make_fixture();
+  const TensorF& image = f.data.images.front();
+  for (const ConvPolicy policy :
+       {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+    ExecContext clean_ctx;
+    clean_ctx.policy = policy;
+    const TensorI32 clean = f.net.forward(image, clean_ctx);
+
+    FaultConfig config;
+    config.ber = 1e-2;
+    config.model = *FaultModelSpec::parse("stuck1@weight");
+    FaultSession session(config, 5);
+    ExecContext faulted_ctx = clean_ctx;
+    faulted_ctx.session = &session;
+    const TensorI32 faulted = f.net.forward(image, faulted_ctx);
+    EXPECT_GT(session.total_flips(), 0);
+    EXPECT_FALSE(faulted == clean) << conv_policy_name(policy);
+
+    for (const char* spec : {"stuck1@weight#perm", "stuck0@weight"}) {
+      const EvalResult replay = evaluate(
+          f.net, f.data, model_options(spec, 1e-3, policy, true));
+      const EvalResult scratch = evaluate(
+          f.net, f.data, model_options(spec, 1e-3, policy, false));
+      EXPECT_GT(replay.avg_flips, 0.0) << spec;
+      EXPECT_DOUBLE_EQ(replay.accuracy, scratch.accuracy)
+          << spec << " " << conv_policy_name(policy);
+      EXPECT_DOUBLE_EQ(replay.avg_flips, scratch.avg_flips)
+          << spec << " " << conv_policy_name(policy);
+    }
+  }
+}
+
 // The explicit default spec is bit-identical to the implicit one — the
 // registry cannot perturb seed semantics.
 TEST(FaultModelCampaignTest, ExplicitFlipAtOpMatchesDefault) {

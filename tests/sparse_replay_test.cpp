@@ -6,10 +6,15 @@
 // cone crosses pooling, residual Adds, and channel-concatenations.
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "fault/site_sampler.h"
 #include "nn/dataset.h"
+#include "nn/layers/conv_layer.h"
 #include "nn/evaluator.h"
 #include "nn/network.h"
 #include "test_util.h"
@@ -187,6 +192,104 @@ TEST(SparseReplay, HighFootprintFallsBackDenseAndStaysExact) {
   config.mode = InjectionMode::kNeuronLevel;
   EXPECT_GT(check_sparse_dense_scratch(net, config, 6, "high footprint"),
             30);
+}
+
+// ConvLayer::replay_delta recomputes the marked output positions through
+// gathered GEMM columns at every marked fraction. Fractions just below and
+// above 25% and 50% (where a direct and a Winograd layer once switched to
+// a dense recompute) must equal the scratch path: a dense forward of the
+// perturbed input with the same sites applied.
+TEST(SparseReplay, ReplayDeltaAcrossFormerDenseCutoversMatchesScratch) {
+  ConvDesc desc;
+  desc.in_c = 4;
+  desc.in_h = desc.in_w = 16;
+  desc.out_c = 6;
+  Rng rng(0xC11F);
+  TensorF weights(desc.weight_shape());
+  for (auto& v : weights.flat()) {
+    v = static_cast<float>(rng.next_below(2001)) / 1000.0f - 1.0f;
+  }
+  std::vector<float> bias(static_cast<std::size_t>(desc.out_c));
+  for (auto& b : bias) b = static_cast<float>(rng.next_below(101)) / 100.0f;
+  const ConvLayer layer(desc, weights, bias, DType::kInt16);
+  NodeOutput clean{TensorI32(desc.in_shape()), QuantParams{1.0 / 4096,
+                                                           DType::kInt16}};
+  for (auto& v : clean.tensor.flat()) {
+    v = static_cast<std::int32_t>(rng.next_below(16001)) - 8000;
+  }
+  const QuantParams out_quant{0.05, DType::kInt16};
+  const std::int64_t ohw = desc.out_h() * desc.out_w();
+  // Output positions a changed input pixel marks (3x3, pad 1, stride 1).
+  const auto mark = [&](std::vector<char>& marked, std::int64_t y,
+                        std::int64_t x) {
+    std::int64_t added = 0;
+    for (std::int64_t oy = std::max<std::int64_t>(y - 1, 0);
+         oy <= std::min(y + 1, desc.out_h() - 1); ++oy) {
+      for (std::int64_t ox = std::max<std::int64_t>(x - 1, 0);
+           ox <= std::min(x + 1, desc.out_w() - 1); ++ox) {
+        char& m = marked[static_cast<std::size_t>(oy * desc.out_w() + ox)];
+        added += m == 0;
+        m = 1;
+      }
+    }
+    return added;
+  };
+
+  for (const ConvPolicy policy :
+       {ConvPolicy::kDirect, ConvPolicy::kWinograd2}) {
+    ExecContext ctx;
+    ctx.policy = policy;
+    const NodeOutput* clean_in[] = {&clean};
+    const TensorI32 golden = layer.forward(clean_in, out_quant, ctx, -1);
+    const OpSpace space = layer.op_space(DType::kInt16, policy);
+    const SiteSampler sampler(FaultModel{8.0 / space.total_bits()});
+    // [lo, hi] marked-position windows around 25% and 50% of 256.
+    for (const auto& [lo, hi] : {std::pair<std::int64_t, std::int64_t>{58, 63},
+                                 {65, 70},
+                                 {122, 127},
+                                 {129, 134}}) {
+      // Greedily perturb pixels in a shuffled order while the marked count
+      // stays within the window's upper bound.
+      std::vector<std::int64_t> order(static_cast<std::size_t>(ohw));
+      for (std::int64_t i = 0; i < ohw; ++i) {
+        order[static_cast<std::size_t>(i)] = i;
+      }
+      for (std::size_t i = order.size() - 1; i > 0; --i) {
+        std::swap(order[i], order[rng.next_below(i + 1)]);
+      }
+      std::vector<char> marked(static_cast<std::size_t>(ohw), 0);
+      std::int64_t count = 0;
+      NodeOutput perturbed = clean;
+      std::vector<std::int64_t> changed;
+      for (const std::int64_t pixel : order) {
+        if (count >= lo) break;
+        std::vector<char> trial = marked;
+        const std::int64_t added =
+            mark(trial, pixel / desc.in_w, pixel % desc.in_w);
+        if (count + added > hi) continue;
+        marked = std::move(trial);
+        count += added;
+        const std::int64_t ic = pixel % desc.in_c;
+        const std::int64_t flat = ic * desc.in_h * desc.in_w + pixel;
+        perturbed.tensor[flat] = -perturbed.tensor[flat] + 17;
+        changed.push_back(flat);
+      }
+      ASSERT_GE(count, lo);
+      ASSERT_LE(count, hi);
+      std::sort(changed.begin(), changed.end());
+      for (int trial = 0; trial < 3; ++trial) {
+        const std::vector<FaultSite> sites = sampler.sample(space, rng);
+        const NodeOutput* perturbed_in[] = {&perturbed};
+        const TensorI32 scratch = layer.forward_replay(
+            perturbed_in, out_quant, policy, sites, nullptr);
+        const TensorI32 delta = layer.replay_delta(
+            perturbed, out_quant, policy, sites, golden, changed);
+        SCOPED_TRACE(std::string(conv_policy_name(policy)) + " marked " +
+                     std::to_string(count) + "/" + std::to_string(ohw));
+        expect_tensors_equal(delta, scratch, "replay_delta vs scratch");
+      }
+    }
+  }
 }
 
 TEST(SparseReplay, ToggleRoundTrip) {
